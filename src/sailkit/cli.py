@@ -42,8 +42,11 @@ def _positions(text):
     return sorted(out)
 
 
-def _letters(text):
-    return _positions(text)
+def _need(value, flag):
+    """`value`, or a ValueError naming the missing required flag."""
+    if value is None:
+        raise ValueError(f"{flag} is required")
+    return value
 
 
 def _cap(args, default):
@@ -99,7 +102,7 @@ def _cmd_word(args):
         _emit(args, _json(report.to_obj()))
         return 0 if report.nested else 1
     elif args.intervals:
-        letters = _letters(args.intervals)
+        letters = _positions(args.intervals)
         ivs = wd.find_increasing_intervals(spec, letters, args.bound)
         _emit(args, _json([list(iv) for iv in ivs]))
     elif args.iterate is not None:
@@ -120,21 +123,22 @@ def _cmd_word(args):
 
 
 def _build_family_graph(args):
-    spec = wd.InfiniteWordSpec.from_token(args.family)
+    spec = wd.InfiniteWordSpec.from_token(_need(args.family, "--family"))
     if args.positions:
         positions = _positions(args.positions)
     elif args.prefix:
         positions = range(1, args.prefix + 1)
     else:
         raise ValueError("need --positions or --prefix")
-    stars = _letters(args.stars)
+    stars = _positions(_need(args.stars, "--stars"))
     return gr.path_star_graph(spec, positions, stars,
                               cap=_cap(args, gr.DEFAULT_POSITION_CAP))
 
 
 def _cmd_graph(args):
     if args.kind == "wall":
-        _emit_graph(args, gr.wall(args.rows, args.cols))
+        rows, cols = _need(args.rows, "--rows"), _need(args.cols, "--cols")
+        _emit_graph(args, gr.wall(rows, cols))
     elif args.kind == "path-star":
         _emit_graph(args, _build_family_graph(args))
     elif args.kind == "canonical-sail":
@@ -173,7 +177,7 @@ def _cmd_graph(args):
 def _cmd_sail(args):
     if args.kind == "build":
         spec = wd.InfiniteWordSpec.from_token(args.family)
-        letters = _letters(args.letters)
+        letters = _positions(args.letters)
         intervals = wd.find_increasing_intervals(spec, letters, args.bound)
         g, w = sl.build_sail_from_intervals(spec, intervals, letters)
         _emit(args, _json({"graph": g.to_obj(), "witness": w.to_obj(),
@@ -200,7 +204,7 @@ def _cmd_sail(args):
         return 0 if res.ok else 1
     elif args.kind == "surgery":
         spec = wd.InfiniteWordSpec.from_token(args.family)
-        letters = _letters(args.letters)
+        letters = _positions(args.letters)
         intervals = wd.find_increasing_intervals(spec, letters, args.bound)
         g, w = sl.build_sail_from_intervals(spec, intervals, letters)
         g2, w2 = sl.sail_girth_surgery(g, w, args.m)
@@ -210,16 +214,8 @@ def _cmd_sail(args):
 
 def _cmd_decomp(args):
     if args.kind == "build":
-        g = _build_family_graph(args)
-        spec = g.origin
-        if spec.family == wd.ARITHMETIC:
-            td = dc.build_arithmetic(g, args.t)
-        elif spec.family == wd.POWER:
-            td = dc.build_power(g, spec.q, args.t)
-        elif spec.family == wd.FIBONACCI:
-            td = dc.build_fibonacci(g, args.t)
-        else:
-            raise ValueError("decomp build needs the nu, kappa, or eta family")
+        t = _need(args.t, "--t")
+        td, _ = _build_decomposition(_build_family_graph(args), t)
         if (args.format or "text") == "json":
             _emit(args, td.to_json())
         else:
@@ -257,7 +253,8 @@ def _cmd_obstruct(args):
         report = ob.kkw_scan(g, host_cap=_cap(args, ob.HOST_CAP))
         _emit(args, _json(report))
     elif args.kind == "wall-surgery":
-        g = ob.wall_surgery(args.k, args.t, cap=_cap(args, ob.WALL_SURGERY_CAP))
+        g = ob.wall_surgery(_need(args.k, "--k"), _need(args.t, "--t"),
+                            cap=_cap(args, ob.WALL_SURGERY_CAP))
         _emit_graph(args, g)
     elif args.kind == "subdivision":
         host = _load_graph(args.graph)
@@ -273,11 +270,23 @@ def _cmd_obstruct(args):
         spec = wd.InfiniteWordSpec.from_token(args.family)
         positions = (_positions(args.positions) if args.positions
                      else range(1, args.prefix + 1))
-        ok = ob.separator_check(spec, positions, _letters(args.stars),
+        ok = ob.separator_check(spec, positions, _positions(args.stars),
                                 args.i, args.j, args.k)
         _emit(args, _json({"separates": ok}))
         return 0 if ok else 1
     return 0
+
+
+def _build_decomposition(g, t):
+    """The family's decomposition of g and the width bound it advertises."""
+    spec = g.origin
+    if spec.family == wd.ARITHMETIC:
+        return dc.build_arithmetic(g, t), t * t + 2 * t - 1
+    if spec.family == wd.POWER:
+        return dc.build_power(g, spec.q, t), (t + 1) * (spec.q - 1) + 2
+    if spec.family == wd.FIBONACCI:
+        return dc.build_fibonacci(g, t), t + 6
+    raise ValueError("decompositions need the nu, kappa, or eta family")
 
 
 EXPERIMENT_COLUMNS = ["family", "q", "t", "positions", "stars", "n_vertices",
@@ -305,20 +314,9 @@ def _experiment_row(spec, prefix_len, star_letters, t, tw_cap):
     if g.n <= tw_cap:
         exact = dc.exact_treewidth(g, cap=tw_cap)
 
-    builder_width = ""
     bound = ""
     try:
-        if spec.family == wd.ARITHMETIC:
-            td = dc.build_arithmetic(g, t)
-            bound = t * t + 2 * t - 1
-        elif spec.family == wd.POWER:
-            td = dc.build_power(g, spec.q, t)
-            bound = (t + 1) * (spec.q - 1) + 2
-        elif spec.family == wd.FIBONACCI:
-            td = dc.build_fibonacci(g, t)
-            bound = t + 6
-        else:
-            raise ValueError("experiment needs the nu, kappa, or eta family")
+        td, bound = _build_decomposition(g, t)
         builder_width = dc.width(td)
     except ObstructionError:
         builder_width = "obstruction"
@@ -345,7 +343,7 @@ def _cmd_experiment(args):
     rows = []
     for prefix_len in prefixes:
         if args.stars:
-            stars = _letters(args.stars)
+            stars = _positions(args.stars)
         else:
             word = wd.prefix(spec, prefix_len)
             stars = sorted(set(word.letters))
@@ -372,7 +370,6 @@ def _add_common(sub):
     sub.add_argument("--format", choices=["json", "dot", "csv", "text"])
     sub.add_argument("--out")
     sub.add_argument("--cap", type=int)
-    sub.add_argument("--seed", type=int)
 
 
 def build_parser():
@@ -430,7 +427,6 @@ def build_parser():
     decomp.add_argument("--prefix", type=int)
     decomp.add_argument("--stars")
     decomp.add_argument("--t", type=int)
-    decomp.add_argument("--q", type=int)
     decomp.add_argument("--graph")
     decomp.add_argument("--td")
     _add_common(decomp)
@@ -453,7 +449,6 @@ def build_parser():
     obstruct.add_argument("--stars")
     obstruct.add_argument("--i", type=int)
     obstruct.add_argument("--j", type=int)
-    obstruct.add_argument("--m", type=int)
     _add_common(obstruct)
 
     experiment = subs.add_parser("experiment", help="bound experiments")

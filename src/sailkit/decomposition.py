@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 
 from .errors import CapExceededError, ObstructionError
-from .graphs import LabeledGraph, ValidationResult, non_star_components
+from .graphs import LabeledGraph, ValidationResult, components, non_star_components, walk
 from .words import ARITHMETIC, FIBONACCI, POWER
 
 EXACT_TW_CAP = 25
@@ -99,40 +99,23 @@ def validate_decomposition(g: LabeledGraph, td: TreeDecomposition) -> Validation
     if len(td.edges) != len(nodes) - 1:
         raise ValueError(
             f"tree edges do not form a tree: {len(nodes)} nodes, {len(td.edges)} edges")
-    seen, stack = {nodes[0]}, [nodes[0]]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    if len(seen) != len(nodes):
+    if len(components(adj.__getitem__, nodes)) != 1:
         raise ValueError("tree edges do not form a connected tree")
 
-    problems = []
-    covered = set().union(*td.bags.values()) if td.bags else set()
-    for v in g.vertices():
-        if v not in covered:
-            problems.append(f"vertex {v} in no bag")
-    unknown = covered - set(g.vertices())
-    for v in sorted(unknown):
+    holding = {}  # vertex -> the nodes whose bags contain it
+    for i in nodes:
+        for v in td.bags[i]:
+            holding.setdefault(v, set()).add(i)
+    vertices = g.vertices()
+    problems = [f"vertex {v} in no bag" for v in vertices if v not in holding]
+    for v in sorted(holding.keys() - set(vertices)):
         problems.append(f"bag entry {v} is not a vertex of the graph")
+    nowhere = frozenset()
     for u, v in g.edges():
-        if not any(u in bag and v in bag for bag in td.bags.values()):
+        if holding.get(u, nowhere).isdisjoint(holding.get(v, nowhere)):
             problems.append(f"edge ({u}, {v}) not inside any bag")
-    for v in g.vertices():
-        holding = [i for i in nodes if v in td.bags[i]]
-        if not holding:
-            continue
-        comp, stack = {holding[0]}, [holding[0]]
-        hold_set = set(holding)
-        while stack:
-            i = stack.pop()
-            for j in adj[i]:
-                if j in hold_set and j not in comp:
-                    comp.add(j)
-                    stack.append(j)
-        if len(comp) != len(holding):
+    for v in vertices:
+        if v in holding and len(components(adj.__getitem__, holding[v])) > 1:
             problems.append(f"bags containing vertex {v} are disconnected")
     return ValidationResult(not problems, tuple(problems))
 
@@ -623,20 +606,14 @@ def _contract_chains(g, skeleton):
                 f"vertex {v} is neither a star, a lettered path vertex, nor a"
                 " degree-<=2 connector; not a path-star graph for this builder")
     chains, dangling, free = {}, [], []
-    seen = set()
-    for start in other:
-        if start in seen:
-            continue
-        comp, stack = {start}, [start]
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w not in skeleton and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
+    other_set = set(other)
+    for comp in components(g.neighbors, other):
         ends = sorted({w for v in comp for w in g.neighbors(v) if w in skeleton})
-        interior = _order_chain(g, comp, ends)
+        # a chain is ordered from its end next to the smallest skeleton vertex
+        start = min(v for v in comp if ends[0] in g.neighbors(v)) if ends else comp[0]
+        interior = walk(g.neighbors, start, other_set)
+        if len(interior) > 2 and interior[0] in g.neighbors(interior[-1]):
+            raise ValueError("connector component is a cycle; not a path-star graph")
         if len(ends) == 2:
             chains[(ends[0], ends[1])] = interior
         elif len(ends) == 1:
@@ -646,50 +623,13 @@ def _contract_chains(g, skeleton):
     return chains, dangling, free
 
 
-def _order_chain(g, comp, ends):
-    """Order a degree-<=2 component from the end nearest ends[0]."""
-    if len(comp) == 1:
-        return list(comp)
-    comp_set = set(comp)
-    if ends:
-        start = sorted(v for v in comp if ends[0] in g.neighbors(v))[0]
-    else:
-        start = min(v for v in comp if len(g.neighbors(v) & comp_set) <= 1)
-    order = [start]
-    prev, cur = None, start
-    while len(order) < len(comp):
-        nxt = [w for w in sorted(g.neighbors(cur)) if w in comp_set and w != prev]
-        if not nxt:
-            raise ValueError("connector component is not a path")
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-    return order
-
-
 def _ordered_path_components(g, cadj):
     """Contracted skeleton path components, each ordered end to end."""
     comps = []
-    seen = set()
-    for start in sorted(cadj):
-        if start in seen:
-            continue
-        comp, stack = {start}, [start]
-        while stack:
-            u = stack.pop()
-            for w in cadj[u]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        if any(len(cadj[v] & comp) > 2 for v in comp):
+    for comp in components(cadj.__getitem__, sorted(cadj)):
+        order = walk(cadj.__getitem__, comp[0], cadj)
+        if len(order) > 2 and order[0] in cadj[order[-1]]:
             raise ValueError("skeleton component is not a path")
-        ends = sorted(v for v in comp if len(cadj[v] & comp) <= 1)
-        order = [ends[0]]
-        prev, cur = None, ends[0]
-        while len(order) < len(comp):
-            nxt = [w for w in sorted(cadj[cur] & comp) if w != prev]
-            prev, cur = cur, nxt[0]
-            order.append(cur)
         comps.append(order)
     return comps
 

@@ -166,20 +166,7 @@ class LabeledGraph:
         return LabeledGraph(tags, edges, origin=self.origin)
 
     def connected_components(self):
-        seen, comps = set(), []
-        for start in sorted(self._tags):
-            if start in seen:
-                continue
-            comp, stack = {start}, [start]
-            while stack:
-                u = stack.pop()
-                for w in self._adj[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(sorted(comp))
-        return comps
+        return components(self._adj.__getitem__, sorted(self._tags))
 
     # -- serialization -------------------------------------------------
 
@@ -484,6 +471,67 @@ def induced(g: LabeledGraph, vertex_subset) -> LabeledGraph:
     return g.induced(vertex_subset)
 
 
+def components(neighbors, vertices):
+    """Connected components of the subgraph induced by `vertices`.
+
+    ``neighbors(v)`` gives v's neighbours in the host graph (``g.neighbors``,
+    or ``adj.__getitem__`` for a plain adjacency dict); only those in
+    `vertices` are followed.  Each component is a sorted list, and
+    components come in the order of their first vertex in `vertices`.
+    """
+    within = vertices if isinstance(vertices, (set, frozenset)) else set(vertices)
+    seen, comps = set(), []
+    for start in vertices:
+        if start in seen:
+            continue
+        comp, stack = {start}, [start]
+        while stack:
+            u = stack.pop()
+            for w in neighbors(u):
+                if w in within and w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(sorted(comp))
+    return comps
+
+
+def walk(neighbors, start, within):
+    """The path or cycle component of `start` inside `within`, in walk order.
+
+    Each step goes to the smallest unvisited neighbour in `within`.  A path
+    is walked from `start` when `start` is one of its ends, and from its
+    smaller end otherwise.  A cycle is walked once, from its minimum vertex
+    toward the smaller of that vertex's neighbours.  Raises ValueError when
+    the component has a vertex with more than two neighbours in `within`.
+    """
+    seen = set()
+
+    def run(cur):
+        order = []
+        while cur is not None:
+            order.append(cur)
+            seen.add(cur)
+            ns = [w for w in neighbors(cur) if w in within]
+            if len(ns) > 2:
+                raise ValueError(f"vertex {cur} has {len(ns)} neighbours: "
+                                 "component is not a path or a cycle")
+            cur = min((w for w in ns if w not in seen), default=None)
+        return order
+
+    order = run(start)
+    rest = [w for w in neighbors(start) if w in within and w not in seen]
+    if rest:  # `start` lies inside a path: add the side not walked yet
+        order = run(rest[0])[::-1] + order
+        return order if order[0] < order[-1] else order[::-1]
+    if len(order) > 2 and order[-1] in neighbors(start):
+        i = order.index(min(order))
+        order = order[i:] + order[:i]
+        if order[-1] < order[1]:
+            order = order[:1] + order[:0:-1]
+    return order
+
+
 def non_star_components(g: LabeledGraph):
     """Connected components of g minus its star nodes, sorted.
 
@@ -492,20 +540,7 @@ def non_star_components(g: LabeledGraph):
     them).
     """
     stars = set(g.star_nodes().values())
-    seen, comps = set(), []
-    for start in g.vertices():
-        if start in stars or start in seen:
-            continue
-        comp, stack = {start}, [start]
-        while stack:
-            u = stack.pop()
-            for w in g.neighbors(u):
-                if w not in stars and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        comps.append(sorted(comp))
-    return comps
+    return components(g.neighbors, [v for v in g.vertices() if v not in stars])
 
 
 # ---------------------------------------------------------------------------
@@ -521,12 +556,15 @@ def is_t_sail_witness(g: LabeledGraph, w: SailWitness) -> ValidationResult:
     through chains of unlisted degree-2 vertices; chains are matched
     greedily (shortest first) and may not share interior vertices.
     """
-    ok, problems, _ = _check_witness(g, w)
-    return ValidationResult(ok, tuple(problems))
+    problems, _ = _check_witness(g, w)
+    return ValidationResult(not problems, tuple(msg for msg, _ in problems))
 
 
 def _check_witness(g, w):
-    """Shared checker; returns (ok, problems, chains).
+    """Shared checker; returns (problems, chains).
+
+    ``problems`` lists (message, pair) in report order; ``pair`` is the
+    (star, component) index pair of a missing coverage, None otherwise.
 
     ``chains`` maps ("path", k, a, b) or ("cover", i, j) to the tuple of
     interior vertices realizing that connection (empty for direct edges).
@@ -536,18 +574,15 @@ def _check_witness(g, w):
         if not g.has_vertex(v):
             raise ValueError(f"witness references unknown vertex {v}")
 
-    problems = []
     if len(set(listed)) != len(listed):
-        problems.append("witness vertices are not pairwise distinct")
-        return False, problems, {}
+        return [("witness vertices are not pairwise distinct", None)], {}
     if any(len(p) == 0 for p in w.paths):
-        problems.append("empty path component")
-        return False, problems, {}
+        return [("empty path component", None)], {}
     if len(w.paths) != len(w.stars):
-        problems.append(
-            f"witness has {len(w.stars)} stars but {len(w.paths)} path components")
-        return False, problems, {}
+        return [(f"witness has {len(w.stars)} stars but {len(w.paths)} path"
+                 " components", None)], {}
 
+    problems = []
     listed_set = set(listed)
     used_interior = set()
     chains = {}
@@ -587,12 +622,12 @@ def _check_witness(g, w):
                 continue
             if not w.subdivided:
                 problems.append(
-                    f"path component {k}: vertices {a} and {b} not adjacent")
+                    (f"path component {k}: vertices {a} and {b} not adjacent", None))
                 continue
             found = chain_interiors(a, {b})
             if found is None:
                 problems.append(
-                    f"path component {k}: no subdivision chain joins {a} and {b}")
+                    (f"path component {k}: no subdivision chain joins {a} and {b}", None))
                 continue
             _, interiors = found
             used_interior.update(interiors)
@@ -606,17 +641,17 @@ def _check_witness(g, w):
                 continue
             if not w.subdivided:
                 problems.append(
-                    f"missing coverage: star {i} not adjacent to path component {j}"
-                    f" (pair ({i}, {j}))")
+                    (f"missing coverage: star {i} not adjacent to path component {j}"
+                     f" (pair ({i}, {j}))", (i, j)))
                 continue
             found = chain_interiors(star, comp)
             if found is None:
                 problems.append(
-                    f"missing coverage: star {i} not joined to path component {j}"
-                    f" (pair ({i}, {j}))")
+                    (f"missing coverage: star {i} not joined to path component {j}"
+                     f" (pair ({i}, {j}))", (i, j)))
                 continue
             _, interiors = found
             used_interior.update(interiors)
             chains[("cover", i, j)] = interiors
 
-    return not problems, problems, chains
+    return problems, chains

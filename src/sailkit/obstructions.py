@@ -23,8 +23,10 @@ from .graphs import (
     ValidationResult,
     complete_bipartite,
     complete_graph,
+    components,
     line_graph,
     path_star_graph,
+    walk,
     wall,
 )
 from .words import InfiniteWordSpec
@@ -169,50 +171,22 @@ class _Core:
             self.loops[u] = [it for i, it in enumerate(items) if i % 2 == 0]
 
         placed = core_set | absorbed
-        for v in g.vertices():
-            if v in placed:
-                continue
-            comp, stack = {v}, [v]
-            while stack:
-                a = stack.pop()
-                for b in g.neighbors(a):
-                    if b not in comp:
-                        comp.add(b)
-                        stack.append(b)
-            placed |= comp
+        rest = [v for v in g.vertices() if v not in placed]
+        for comp in components(g.neighbors, rest):
             if len(comp) == 1:
-                self.isolated.append(v)
+                self.isolated.append(comp[0])
             elif all(g.degree(a) == 2 for a in comp):
-                self.cycle_comps.append(_cycle_order(g, comp))
+                self.cycle_comps.append(tuple(walk(g.neighbors, comp[0], set(comp))))
             else:
-                self.path_comps.append(_path_order(g, comp))
+                self.path_comps.append(tuple(walk(g.neighbors, comp[0], set(comp))))
 
-    def chain_caps(self, u, w):
-        key = (min(u, w), max(u, w))
-        return sorted((len(it) for it in self.chains.get(key, [])), reverse=True)
-
-
-def _path_order(g, comp):
-    ends = sorted(v for v in comp if sum(1 for w in g.neighbors(v) if w in comp) <= 1)
-    order = [ends[0]]
-    prev, cur = None, ends[0]
-    while len(order) < len(comp):
-        nxt = [w for w in sorted(g.neighbors(cur)) if w in comp and w != prev]
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-    return tuple(order)
-
-
-def _cycle_order(g, comp):
-    start = min(comp)
-    order = [start]
-    prev, cur = None, start
-    while True:
-        nxt = [w for w in sorted(g.neighbors(cur)) if w in comp and w != prev]
-        if len(order) == len(comp):
-            return tuple(order)
-        prev, cur = cur, nxt[0]
-        order.append(cur)
+    def chain_adjacency(self):
+        """Core vertex -> the core vertices a chain joins it to."""
+        adj = {u: set() for u in self.core}
+        for u, w in self.chains:
+            adj[u].add(w)
+            adj[w].add(u)
+        return adj
 
 
 def _structured_match(host, pattern, budget=12_000_000):
@@ -246,64 +220,21 @@ def _structured_match(host, pattern, budget=12_000_000):
             hadj[w].append(idx)
 
     # pattern core order: each vertex chain-adjacent to an earlier one
-    order = []
-    placed = set()
-    remaining = sorted(pc.core, key=lambda v: (-pattern.degree(v), v))
-    while remaining:
-        nxt = None
-        for v in remaining:
-            if any((min(v, u), max(v, u)) in pc.chains for u in placed):
-                nxt = v
-                break
-        if nxt is None:
-            nxt = remaining[0]
-        order.append(nxt)
-        placed.add(nxt)
-        remaining.remove(nxt)
+    padj = pc.chain_adjacency()
+    order = _connected_order(pc.core, pattern.degree, padj.__getitem__)
 
     pchains = []  # (a, b, interior) pattern chains, routed when both placed
     for (a, b), items in sorted(pc.chains.items()):
         for interior in items:
             pchains.append((a, b, interior))
 
-    # hop distances in the host core multigraph, for candidate ordering
-    hop_dist = {}
-    for source in hc.core:
-        d = {source: 0}
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for ei in hadj[node]:
-                    u, w, _, _ = hedges[ei]
-                    other = w if node == u else u
-                    if other not in d:
-                        d[other] = d[node] + 1
-                        nxt.append(other)
-            frontier = nxt
-        hop_dist[source] = d
-
+    # hop distances in the host core multigraph, for candidate ordering, and
     # chain-hop distances between pattern cores: a pattern path of L chains
     # maps to a host path of at least L hops, and every extra hop burns one
     # spare host core, so images can exceed pattern distance only by the
     # number of spares still available
-    pdist = {}
-    padj = {u: set() for u in pc.core}
-    for (a, b) in pc.chains:
-        padj[a].add(b)
-        padj[b].add(a)
-    for source in pc.core:
-        d = {source: 0}
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for other in padj[node]:
-                    if other not in d:
-                        d[other] = d[node] + 1
-                        nxt.append(other)
-            frontier = nxt
-        pdist[source] = d
+    hop_dist = _hop_distances(hc.chain_adjacency())
+    pdist = _hop_distances(padj)
 
     # Each depth-0 anchor gets its own escalating tick budget: wrong
     # anchors on rigid hosts waste enormous subtrees, so restarts dominate
@@ -492,7 +423,8 @@ def _structured_match(host, pattern, budget=12_000_000):
     # pendants grow into anything unused around their image
     for v, items in sorted(pc.pendants.items()):
         for p_int in sorted(items, key=len, reverse=True):
-            found = _grow_path(host, phi[v], len(p_int), used)
+            unused = set(host.vertices()) - used
+            found = _find_path(host, [phi[v]], unused, len(p_int) + 1)
             if found is None:
                 return None
             lay([v] + list(p_int), found, span=False)
@@ -514,7 +446,7 @@ def _structured_match(host, pattern, budget=12_000_000):
         used.update(cyc)
         unused_set -= set(cyc)
     for ppath in sorted(pc.path_comps, key=len, reverse=True):
-        found = _find_path(host, unused_set, len(ppath))
+        found = _find_path(host, sorted(unused_set), unused_set, len(ppath))
         if found is None:
             return None
         branch_map[ppath[0]] = found[0]
@@ -532,29 +464,28 @@ def _structured_match(host, pattern, budget=12_000_000):
     return emb if validate_embedding(host, pattern, emb) else None
 
 
-def _grow_path(host, start, need, used):
-    """A simple path of `need` vertices hanging off `start`, avoiding `used`."""
-    out = []
-
-    def dfs(cur):
-        if len(out) == need:
-            return True
-        for w in sorted(host.neighbors(cur)):
-            if w not in used and w not in out and w != start:
-                out.append(w)
-                if dfs(w):
-                    return True
-                out.pop()
-        return False
-
-    if dfs(start):
-        return [start] + out
-    return None
+def _hop_distances(adj):
+    """BFS hop distances from every vertex of the adjacency dict `adj`."""
+    dist = {}
+    for source in adj:
+        d = {source: 0}
+        frontier = [source]
+        while frontier:
+            nxt = []
+            for node in frontier:
+                for other in adj[node]:
+                    if other not in d:
+                        d[other] = d[node] + 1
+                        nxt.append(other)
+            frontier = nxt
+        dist[source] = d
+    return dist
 
 
-def _find_path(host, allowed, k):
-    """A simple path of k vertices inside `allowed`, or None."""
-    for start in sorted(allowed):
+def _find_path(host, starts, allowed, k):
+    """A simple path of k vertices, its other vertices inside `allowed`,
+    from the first of `starts` that begins one; None if none does."""
+    for start in starts:
         out = [start]
 
         def dfs(cur):
@@ -599,7 +530,7 @@ def _find_cycle(host, allowed, k):
 # ---------------------------------------------------------------------------
 
 def _full_search(host, pattern, budget):
-    p_order = _pattern_order(pattern)
+    p_order = _connected_order(pattern.vertices(), pattern.degree, pattern.neighbors)
     host_vs = host.vertices()
     images = {}
     used_interior = set()
@@ -653,17 +584,14 @@ def _full_search(host, pattern, budget):
     return None
 
 
-def _pattern_order(pattern):
+def _connected_order(vertices, degree, neighbors):
+    """Vertices by (-degree, id), except that each next one is the first
+    left that is adjacent to an earlier one, when any is."""
     order, placed = [], set()
-    remaining = sorted(pattern.vertices(), key=lambda v: (-pattern.degree(v), v))
+    remaining = sorted(vertices, key=lambda v: (-degree(v), v))
     while remaining:
-        nxt = None
-        for v in remaining:
-            if any(u in placed for u in pattern.neighbors(v)):
-                nxt = v
-                break
-        if nxt is None:
-            nxt = remaining[0]
+        nxt = next((v for v in remaining if not placed.isdisjoint(neighbors(v))),
+                   remaining[0])
         order.append(nxt)
         placed.add(nxt)
         remaining.remove(nxt)
@@ -812,14 +740,5 @@ def separator_check(spec: InfiniteWordSpec, positions, star_letters,
             blocked.add(v)
     source = g.star_nodes()[letters[i - 1]]
     target = g.star_nodes()[letters[k - 1]]
-    seen, stack = {source}, [source]
-    while stack:
-        u = stack.pop()
-        for w in g.neighbors(u):
-            if w in blocked or w in seen:
-                continue
-            if w == target:
-                return False
-            seen.add(w)
-            stack.append(w)
-    return True
+    rest = [v for v in g.vertices() if v not in blocked and v != source]
+    return target not in components(g.neighbors, [source] + rest)[0]

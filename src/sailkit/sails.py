@@ -17,8 +17,10 @@ from .graphs import (
     SailWitness,
     ValidationResult,
     _check_witness,
+    components,
     non_star_components,
     path_star_graph,
+    walk,
 )
 from .words import POWER, InfiniteWordSpec
 
@@ -78,24 +80,13 @@ def build_sail_from_intervals(spec: InfiniteWordSpec, intervals, letters):
         stars=tuple(stars[l] for l in letters),
         paths=tuple(tuple(range(lo, hi + 1)) for lo, hi in intervals),
     )
-    ok, problems, _ = _check_witness(g, witness)
-    if not ok:
-        pair = None
-        for p in problems:
-            if "pair (" in p:
-                inside = p[p.index("pair (") + 5:]
-                pair = tuple(int(x) for x in inside.strip("()").split(","))
-                break
+    problems, _ = _check_witness(g, witness)
+    if problems:
         raise SailConstructionError(
-            "intervals do not cover their letter sets: " + "; ".join(problems),
-            pair=pair)
+            "intervals do not cover their letter sets: "
+            + "; ".join(msg for msg, _ in problems),
+            pair=next((pair for _, pair in problems if pair), None))
     return g, witness
-
-
-def is_t_sail_witness(g: LabeledGraph, w: SailWitness) -> ValidationResult:
-    """Re-exported from graphs for convenience."""
-    ok, problems, _ = _check_witness(g, w)
-    return ValidationResult(ok, tuple(problems))
 
 
 # ---------------------------------------------------------------------------
@@ -133,65 +124,37 @@ def find_sail_witness(g: LabeledGraph, t: int, cap: int = FIND_SAIL_CAP):
 
     for combo in permutations(star_ids, t):
         witness = _assign_components(g, combo, segments, adjacency)
-        if witness is not None:
-            ok, _, _ = _check_witness(g, witness)
-            if ok:
-                return witness
+        if witness is not None and not _check_witness(g, witness)[0]:
+            return witness
     return None
 
 
 def _candidate_segments(g):
     """All subpaths of g minus stars, as vertex tuples in path order."""
-    stars = set(g.star_nodes().values())
     segs = []
     for comp in non_star_components(g):
         comp_set = set(comp)
-        degs = {v: len(g.neighbors(v) & comp_set) for v in comp}
-        if all(d <= 2 for d in degs.values()):
-            ends = [v for v in comp if degs[v] <= 1]
-            if ends:
-                order = _walk_path(g, comp_set, min(ends))
-                for i in range(len(order)):
-                    for j in range(i, len(order)):
-                        segs.append(tuple(order[i:j + 1]))
-            else:
-                # cycle component: all arcs shorter than the full cycle
-                order = _walk_cycle(g, comp_set)
-                k = len(order)
-                for start in range(k):
-                    for length in range(1, k):
-                        segs.append(tuple(order[(start + off) % k]
-                                          for off in range(length)))
-        else:
+        try:
+            order = walk(g.neighbors, comp[0], comp_set)
+        except ValueError:
             segs.extend(_all_simple_paths(g, comp_set))
+            continue
+        k = len(order)
+        if k > 2 and order[-1] in g.neighbors(order[0]):
+            # cycle component: all arcs shorter than the full cycle
+            for start in range(k):
+                for length in range(1, k):
+                    segs.append(tuple(order[(start + off) % k]
+                                      for off in range(length)))
+        else:
+            for i in range(k):
+                for j in range(i, k):
+                    segs.append(tuple(order[i:j + 1]))
     uniq = {}
     for s in segs:
         key = s if s[0] <= s[-1] else tuple(reversed(s))
         uniq.setdefault(key, key)
     return sorted(uniq)
-
-
-def _walk_path(g, comp_set, start):
-    order = [start]
-    prev, cur = None, start
-    while True:
-        nxt = [w for w in sorted(g.neighbors(cur)) if w in comp_set and w != prev]
-        if not nxt:
-            return order
-        prev, cur = cur, nxt[0]
-        order.append(cur)
-
-
-def _walk_cycle(g, comp_set):
-    start = min(comp_set)
-    order = [start]
-    prev, cur = None, start
-    while True:
-        nxt = [w for w in sorted(g.neighbors(cur)) if w in comp_set and w != prev]
-        if nxt[0] == order[0] and len(order) == len(comp_set):
-            return order
-        prev, cur = cur, nxt[0]
-        order.append(cur)
 
 
 def _all_simple_paths(g, comp_set):
@@ -269,9 +232,10 @@ def clique_minor_model(g: LabeledGraph, w: SailWitness) -> MinorModel:
     """Branch sets from a validated witness: set k is star k with its own
     path component, plus (for subdivided witnesses) the interiors of the
     chains realizing component connectivity and the star's coverage."""
-    ok, problems, chains = _check_witness(g, w)
-    if not ok:
-        raise ValueError("witness does not validate: " + "; ".join(problems))
+    problems, chains = _check_witness(g, w)
+    if problems:
+        raise ValueError("witness does not validate: "
+                         + "; ".join(msg for msg, _ in problems))
     sets = []
     for k in range(1, w.order + 1):
         members = {w.stars[k - 1]}
@@ -299,15 +263,7 @@ def validate_minor_model(g: LabeledGraph, model: MinorModel) -> ValidationResult
         if not s:
             problems.append(f"branch set {idx} is empty")
             continue
-        start = next(iter(s))
-        comp, stack = {start}, [start]
-        while stack:
-            u = stack.pop()
-            for x in g.neighbors(u):
-                if x in s and x not in comp:
-                    comp.add(x)
-                    stack.append(x)
-        if len(comp) != len(s):
+        if len(components(g.neighbors, s)) > 1:
             problems.append(f"branch set {idx} is not connected")
     for i in range(len(model.branch_sets)):
         for j in range(i + 1, len(model.branch_sets)):

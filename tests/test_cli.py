@@ -220,3 +220,25 @@ def test_out_file(tmp_path, capsys):
     code = run(["word", "--family", "nu", "--at", "14", "--out", str(path)])
     assert code == 0
     assert path.read_text().strip() == "5"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["graph", "wall"], "--rows"),
+    (["graph", "path-star", "--family", "nu", "--prefix", "5"], "--stars"),
+    (["graph", "path-star", "--prefix", "5", "--stars", "1-2"], "--family"),
+    (["decomp", "build", "--family", "nu", "--prefix", "20", "--stars", "1-3"], "--t"),
+    (["obstruct", "wall-surgery", "--k", "2"], "--t"),
+])
+def test_missing_required_flag_exits_two(capsys, argv, flag):
+    assert run(argv) == 2
+    assert f"{flag} is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["word", "--family", "nu", "--at", "3", "--seed", "1"],
+    ["decomp", "width", "--td", "td.json", "--q", "2"],
+    ["obstruct", "kkw", "--graph", "g.json", "--m", "4"],
+])
+def test_removed_flags_exit_two(capsys, argv):
+    assert run(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

@@ -238,6 +238,20 @@ class TestBuildArithmetic:
         with pytest.raises(ValueError):
             build_arithmetic(g, 3)
 
+    def test_rejects_cycles_off_the_skeleton(self):
+        # a triangle of connectors, and a path cycle that a walk would
+        # otherwise order as if it were a path
+        base = path_star_graph(NU, [1, 2], [1, 2])
+        tags = {v: base.tag(v) for v in base.vertices()}
+        tags.update({10: PLAIN, 11: PLAIN, 12: PLAIN})
+        g = LabeledGraph(tags, base.edges() + [(10, 11), (11, 12), (10, 12)], origin=NU)
+        with pytest.raises(ValueError, match="cycle"):
+            build_arithmetic(g, 2)
+        g = path_star_graph(NU, [1, 2, 3, 4, 5], [1, 2])
+        g = LabeledGraph({v: g.tag(v) for v in g.vertices()}, g.edges() + [(1, 4)], origin=NU)
+        with pytest.raises(ValueError, match="not a path"):
+            build_arithmetic(g, 2)
+
     def test_trunk_with_branches(self):
         # positions cut mid-block so components carry uncovered ends
         g = path_star_graph(NU, list(range(4, 21)) + list(range(24, 33)),

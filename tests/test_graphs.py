@@ -11,6 +11,7 @@ from sailkit.graphs import (
     SailWitness,
     canonical_sail,
     complete_bipartite,
+    components,
     complete_graph,
     contains_cycle_of_length,
     cycle_graph,
@@ -23,6 +24,7 @@ from sailkit.graphs import (
     path_star_graph,
     star_tag,
     subdivide,
+    walk,
     wall,
     wall_vertex_id,
 )
@@ -307,3 +309,92 @@ class TestSubdividedWitness:
         bad = SailWitness(stars=(99,) + w.stars[1:], paths=w.paths)
         with pytest.raises(ValueError):
             is_t_sail_witness(g, bad)
+
+
+def random_graph(rng, n, p):
+    tags = {v: PLAIN for v in range(n)}
+    return LabeledGraph(tags, [e for e in itertools.combinations(range(n), 2)
+                               if rng.random() < p])
+
+
+def random_paths_and_cycles(rng, n):
+    """Disjoint paths and cycles on shuffled ids, so the walk order is not
+    the id order."""
+    ids = list(range(n))
+    rng.shuffle(ids)
+    edges, i = [], 0
+    while i < n:
+        size = rng.randint(1, n - i)
+        run = ids[i:i + size]
+        edges.extend(zip(run, run[1:]))
+        if size >= 3 and rng.random() < 0.5:
+            edges.append((run[-1], run[0]))
+        i += size
+    return LabeledGraph({v: PLAIN for v in range(n)}, edges)
+
+
+class TestComponentsAndWalk:
+    """`components` and `walk` against networkx on seeded random graphs."""
+
+    def test_components_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(11)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 18), rng.choice([0.05, 0.1, 0.2, 0.4]))
+            h = nx.Graph(g.edges())
+            h.add_nodes_from(g.vertices())
+            for vertices in (g.vertices(),
+                             rng.sample(g.vertices(), rng.randint(0, g.n))):
+                got = components(g.neighbors, vertices)
+                sub = h.subgraph(vertices)
+                first = {v: i for i, v in reversed(list(enumerate(vertices)))}
+                want = sorted((sorted(c) for c in nx.connected_components(sub)),
+                              key=lambda c: min(first[v] for v in c))
+                assert got == want
+                assert sorted(components(g.neighbors, set(vertices))) == sorted(want)
+
+    def test_walk_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(12)
+        for _ in range(200):
+            g = random_paths_and_cycles(rng, rng.randint(1, 14))
+            within = set(rng.sample(g.vertices(), rng.randint(1, g.n)))
+            if rng.random() < 0.3:
+                within = set(g.vertices())
+            sub = nx.Graph(g.edges()).subgraph(within).copy()
+            sub.add_nodes_from(within)
+            start = rng.choice(sorted(within))
+            comp = nx.node_connected_component(sub, start)
+            order = walk(g.neighbors, start, within)
+            assert sorted(order) == sorted(comp)
+            assert all(sub.has_edge(a, b) for a, b in zip(order, order[1:]))
+            if len(comp) > 2 and all(sub.degree(v) == 2 for v in comp):
+                assert order[0] == min(comp) and sub.has_edge(order[-1], order[0])
+                assert order[1] < order[-1]
+            elif sub.degree(start) <= 1:
+                assert order[0] == start
+            else:
+                assert order[0] < order[-1]
+
+    def test_cycle_walk_start_and_direction(self):
+        g = LabeledGraph({v: PLAIN for v in range(5)},
+                         [(0, 4), (4, 1), (1, 3), (3, 2), (2, 0)])
+        for start in range(5):
+            assert walk(g.neighbors, start, set(range(5))) == [0, 2, 3, 1, 4]
+
+    def test_path_walk_from_either_end_or_inside(self):
+        g = path_graph(5)
+        within = set(range(5))
+        assert walk(g.neighbors, 4, within) == [4, 3, 2, 1, 0]
+        assert walk(g.neighbors, 0, within) == [0, 1, 2, 3, 4]
+        assert walk(g.neighbors, 2, within) == [0, 1, 2, 3, 4]
+        assert walk(g.neighbors, 3, {1, 2, 3}) == [3, 2, 1]
+
+    def test_branching_component_raises(self):
+        g = complete_bipartite(1, 3)
+        with pytest.raises(ValueError):
+            walk(g.neighbors, 1, set(g.vertices()))
+        assert walk(g.neighbors, 1, {0, 1, 2}) == [1, 0, 2]
+        adj = {0: {1, 2, 3}, 1: {0}, 2: {0}, 3: {0}}
+        with pytest.raises(ValueError):
+            walk(adj.__getitem__, 0, adj)

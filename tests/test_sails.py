@@ -69,6 +69,11 @@ class TestBuildFromIntervals:
         with pytest.raises(SailConstructionError) as err:
             build_sail_from_intervals(NU, [(1, 1), (4, 5)], [1, 2])
         assert err.value.pair == (1, 2)
+        # interval 3 at positions 5..6 reads "3 1": only letter 2 is missing
+        with pytest.raises(SailConstructionError) as err:
+            build_sail_from_intervals(NU, [(1, 1), (2, 3), (5, 6)], [1, 2, 3])
+        assert err.value.pair == (2, 3)
+        assert "(pair (2, 3))" in str(err.value)
 
     def test_overlapping_intervals(self):
         with pytest.raises(ValueError):
