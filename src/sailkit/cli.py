@@ -70,8 +70,8 @@ def _json(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _load_graph(path):
-    with open(path) as fh:
+def _load_graph(path, flag="--graph"):
+    with open(_need(path, flag)) as fh:
         return gr.LabeledGraph.from_json(fh.read())
 
 
@@ -142,7 +142,7 @@ def _cmd_graph(args):
     elif args.kind == "path-star":
         _emit_graph(args, _build_family_graph(args))
     elif args.kind == "canonical-sail":
-        g, w = gr.canonical_sail(args.t)
+        g, w = gr.canonical_sail(_need(args.t, "--t"))
         if (args.format or "text") == "json":
             _emit(args, _json({"graph": g.to_obj(), "witness": w.to_obj()}))
         else:
@@ -152,21 +152,21 @@ def _cmd_graph(args):
     elif args.kind == "subdivide":
         g = _load_graph(args.graph)
         plan = {}
-        for item in args.edges.split(","):
+        for item in _need(args.edges, "--edges").split(","):
             edge, count = item.split(":")
             u, v = edge.split("-")
             plan[(int(u), int(v))] = int(count)
         _emit_graph(args, gr.subdivide(g, plan))
     elif args.kind == "induced":
         g = _load_graph(args.graph)
-        _emit_graph(args, g.induced(_positions(args.vertices)))
+        _emit_graph(args, g.induced(_positions(_need(args.vertices, "--vertices"))))
     elif args.kind == "girth":
         g = _load_graph(args.graph)
         value = gr.girth(g)
         _emit(args, "acyclic" if value is None else str(value))
     elif args.kind == "check-witness":
         g = _load_graph(args.graph)
-        with open(args.witness) as fh:
+        with open(_need(args.witness, "--witness")) as fh:
             w = gr.SailWitness.from_obj(json.load(fh))
         res = gr.is_t_sail_witness(g, w)
         _emit(args, _json({"ok": res.ok, "problems": list(res.problems)}))
@@ -174,40 +174,45 @@ def _cmd_graph(args):
     return 0
 
 
+def _interval_sail(args):
+    """The sail built from the increasing intervals of --family on --letters."""
+    spec = wd.InfiniteWordSpec.from_token(_need(args.family, "--family"))
+    letters = _positions(_need(args.letters, "--letters"))
+    intervals = wd.find_increasing_intervals(spec, letters, args.bound)
+    g, w = sl.build_sail_from_intervals(spec, intervals, letters)
+    return g, w, intervals
+
+
 def _cmd_sail(args):
     if args.kind == "build":
-        spec = wd.InfiniteWordSpec.from_token(args.family)
-        letters = _positions(args.letters)
-        intervals = wd.find_increasing_intervals(spec, letters, args.bound)
-        g, w = sl.build_sail_from_intervals(spec, intervals, letters)
+        g, w, intervals = _interval_sail(args)
         _emit(args, _json({"graph": g.to_obj(), "witness": w.to_obj(),
                            "intervals": [list(iv) for iv in intervals]}))
     elif args.kind == "find":
         g = _load_graph(args.graph)
-        w = sl.find_sail_witness(g, args.t, cap=_cap(args, sl.FIND_SAIL_CAP))
+        t = _need(args.t, "--t")
+        w = sl.find_sail_witness(g, t, cap=_cap(args, sl.FIND_SAIL_CAP))
         if w is None:
             _emit(args, _json({"found": False}))
             return 1
         _emit(args, _json({"found": True, "witness": w.to_obj()}))
     elif args.kind == "minor":
         g = _load_graph(args.graph)
-        with open(args.witness) as fh:
+        with open(_need(args.witness, "--witness")) as fh:
             w = gr.SailWitness.from_obj(json.load(fh))
         model = sl.clique_minor_model(g, w)
         _emit(args, _json(model.to_obj()))
     elif args.kind == "check-minor":
         g = _load_graph(args.graph)
-        with open(args.model) as fh:
+        with open(_need(args.model, "--model")) as fh:
             model = sl.MinorModel.from_obj(json.load(fh))
         res = sl.validate_minor_model(g, model)
         _emit(args, _json({"ok": res.ok, "problems": list(res.problems)}))
         return 0 if res.ok else 1
     elif args.kind == "surgery":
-        spec = wd.InfiniteWordSpec.from_token(args.family)
-        letters = _positions(args.letters)
-        intervals = wd.find_increasing_intervals(spec, letters, args.bound)
-        g, w = sl.build_sail_from_intervals(spec, intervals, letters)
-        g2, w2 = sl.sail_girth_surgery(g, w, args.m)
+        m = _need(args.m, "--m")
+        g, w, _ = _interval_sail(args)
+        g2, w2 = sl.sail_girth_surgery(g, w, m)
         _emit(args, _json({"graph": g2.to_obj(), "witness": w2.to_obj()}))
     return 0
 
@@ -221,14 +226,15 @@ def _cmd_decomp(args):
         else:
             _emit(args, f"width {dc.width(td)} with {td.n_nodes} bags")
     elif args.kind == "validate":
+        td_path = _need(args.td, "--td")
         g = _load_graph(args.graph)
-        with open(args.td) as fh:
+        with open(td_path) as fh:
             td = dc.TreeDecomposition.from_json(fh.read())
         res = dc.validate_decomposition(g, td)
         _emit(args, _json({"ok": res.ok, "problems": list(res.problems)}))
         return 0 if res.ok else 1
     elif args.kind == "width":
-        with open(args.td) as fh:
+        with open(_need(args.td, "--td")) as fh:
             td = dc.TreeDecomposition.from_json(fh.read())
         _emit(args, str(dc.width(td)))
     return 0
@@ -258,7 +264,7 @@ def _cmd_obstruct(args):
         _emit_graph(args, g)
     elif args.kind == "subdivision":
         host = _load_graph(args.graph)
-        pattern = _load_graph(args.pattern)
+        pattern = _load_graph(args.pattern, "--pattern")
         emb = ob.contains_subdivision(host, pattern,
                                       host_cap=_cap(args, ob.HOST_CAP),
                                       pattern_cap=max(ob.PATTERN_CAP, pattern.n))
@@ -267,11 +273,12 @@ def _cmd_obstruct(args):
             return 1
         _emit(args, _json({"present": True, "embedding": emb.to_obj()}))
     elif args.kind == "separator":
-        spec = wd.InfiniteWordSpec.from_token(args.family)
+        spec = wd.InfiniteWordSpec.from_token(_need(args.family, "--family"))
         positions = (_positions(args.positions) if args.positions
-                     else range(1, args.prefix + 1))
-        ok = ob.separator_check(spec, positions, _positions(args.stars),
-                                args.i, args.j, args.k)
+                     else range(1, _need(args.prefix, "--positions or --prefix") + 1))
+        ok = ob.separator_check(spec, positions, _positions(_need(args.stars, "--stars")),
+                                _need(args.i, "--i"), _need(args.j, "--j"),
+                                _need(args.k, "--k"))
         _emit(args, _json({"separates": ok}))
         return 0 if ok else 1
     return 0

@@ -19,6 +19,7 @@ desk-scale verification, default cap 25 vertices.
 
 from __future__ import annotations
 
+import heapq
 import json
 
 from .errors import CapExceededError, ObstructionError
@@ -155,23 +156,49 @@ def _fill_degree(adj, eliminated, v):
 
 
 def _min_fill_order(g):
-    """Greedy min-fill elimination order and the bags it produces."""
+    """Greedy min-fill elimination order and the bags it produces.
+
+    Picks the live vertex with the least (fill, degree, id) at every step.
+    inner[x] counts the edges inside N(x), so fill(x) = C(deg x, 2) - inner[x];
+    an elimination updates inner only around the eliminated vertex and the
+    fill edges it adds, and a heap with lazily invalidated keys finds the
+    minimum.
+    """
     live = {v: set(g.neighbors(v)) for v in g.vertices()}
+    inner = {v: sum(len(live[a] & ns) for a in ns) // 2 for v, ns in live.items()}
+
+    def key(x):
+        d = len(live[x])
+        return (d * (d - 1) // 2 - inner[x], d, x)
+
+    heap = [key(v) for v in live]
+    heapq.heapify(heap)
     order, bags = [], []
     while live:
-        best = None
-        for v in sorted(live):
-            ns = live[v]
-            fill = sum(1 for a in ns for b in ns if a < b and b not in live[a])
-            if best is None or (fill, len(ns), v) < best[0]:
-                best = ((fill, len(ns), v), v)
-        v = best[1]
+        k = heapq.heappop(heap)
+        v = k[2]
+        if v not in live or key(v) != k:
+            continue
         ns = live.pop(v)
         order.append(v)
         bags.append({v} | ns)
+        touched = set(ns)
         for a in ns:
             live[a].discard(v)
-            live[a].update(ns - {a})
+            inner[a] -= len(live[a] & ns)
+        for a in ns:
+            for b in ns:
+                if a < b and b not in live[a]:
+                    common = live[a] & live[b]
+                    for x in common:
+                        inner[x] += 1
+                    inner[a] += len(common)
+                    inner[b] += len(common)
+                    touched |= common
+                    live[a].add(b)
+                    live[b].add(a)
+        for x in touched:
+            heapq.heappush(heap, key(x))
     return order, bags
 
 
@@ -187,7 +214,7 @@ def _minor_min_width(g):
         if ns:
             u = min((len(live[w] & ns), w) for w in ns)[1]
             merged = (live[u] | ns) - {u, v}
-            for w in live:
+            for w in ns:
                 live[w].discard(v)
             live[u] = merged
             for w in merged:
@@ -258,7 +285,12 @@ def exact_treewidth(g: LabeledGraph, cap: int = EXACT_TW_CAP) -> int:
 
 
 def heuristic_treewidth_upper(g: LabeledGraph):
-    """Min-fill greedy upper bound and the matching valid decomposition."""
+    """Min-fill greedy upper bound and the matching valid decomposition.
+
+    The min-fill order is built incrementally: each elimination updates fill
+    counts around its neighbourhood only.  Ties break on (fill, degree, id),
+    so the result is deterministic.
+    """
     if g.n == 0:
         raise ValueError("empty graph")
     order, bags = _min_fill_order(g)

@@ -228,6 +228,33 @@ def test_out_file(tmp_path, capsys):
     (["graph", "path-star", "--prefix", "5", "--stars", "1-2"], "--family"),
     (["decomp", "build", "--family", "nu", "--prefix", "20", "--stars", "1-3"], "--t"),
     (["obstruct", "wall-surgery", "--k", "2"], "--t"),
+    (["graph", "line-graph"], "--graph"),
+    (["graph", "girth"], "--graph"),
+    (["sail", "find", "--t", "2"], "--graph"),
+    (["sail", "minor"], "--graph"),
+    (["sail", "check-minor"], "--graph"),
+    (["obstruct", "kkw"], "--graph"),
+    (["obstruct", "subdivision"], "--graph"),
+    (["decomp", "validate", "--graph", "g.json"], "--td"),
+    (["decomp", "width"], "--td"),
+    (["sail", "build", "--letters", "1-2"], "--family"),
+    (["sail", "build", "--family", "nu"], "--letters"),
+    (["sail", "surgery", "--letters", "1-2", "--m", "4"], "--family"),
+    (["sail", "surgery", "--family", "nu", "--m", "4"], "--letters"),
+    (["sail", "surgery", "--family", "nu", "--letters", "1-2"], "--m"),
+    (["graph", "canonical-sail"], "--t"),
+    (["obstruct", "separator", "--prefix", "20", "--stars", "1-3",
+      "--i", "1", "--j", "2", "--k", "3"], "--family"),
+    (["obstruct", "separator", "--family", "nu", "--stars", "1-3",
+      "--i", "1", "--j", "2", "--k", "3"], "--prefix"),
+    (["obstruct", "separator", "--family", "nu", "--prefix", "20",
+      "--i", "1", "--j", "2", "--k", "3"], "--stars"),
+    (["obstruct", "separator", "--family", "nu", "--prefix", "20", "--stars", "1-3",
+      "--j", "2", "--k", "3"], "--i"),
+    (["obstruct", "separator", "--family", "nu", "--prefix", "20", "--stars", "1-3",
+      "--i", "1", "--k", "3"], "--j"),
+    (["obstruct", "separator", "--family", "nu", "--prefix", "20", "--stars", "1-3",
+      "--i", "1", "--j", "2"], "--k"),
 ])
 def test_missing_required_flag_exits_two(capsys, argv, flag):
     assert run(argv) == 2

@@ -7,6 +7,7 @@ import pytest
 
 from sailkit.decomposition import (
     TreeDecomposition,
+    _min_fill_order,
     build_arithmetic,
     build_fibonacci,
     build_power,
@@ -181,6 +182,56 @@ class TestHeuristic:
             value, td = heuristic_treewidth_upper(g)
             assert validate_decomposition(g, td).ok
             assert value >= exact_treewidth(g)
+
+
+def min_fill_reference(g):
+    """Reference min-fill: rescan every live vertex's fill at every step."""
+    live = {v: set(g.neighbors(v)) for v in g.vertices()}
+    order, bags = [], []
+    while live:
+        best = None
+        for v in sorted(live):
+            ns = live[v]
+            fill = sum(1 for a in ns for b in ns if a < b and b not in live[a])
+            if best is None or (fill, len(ns), v) < best[0]:
+                best = ((fill, len(ns), v), v)
+        v = best[1]
+        ns = live.pop(v)
+        order.append(v)
+        bags.append({v} | ns)
+        for a in ns:
+            live[a].discard(v)
+            live[a].update(ns - {a})
+    return order, bags
+
+
+class TestMinFillReference:
+    def test_small_graphs(self):
+        rng = random.Random(41)
+        graphs = [LabeledGraph({}, []), random_graph(rng, 7, 0.0), complete_graph(7),
+                  LabeledGraph({i: PLAIN for i in range(8)},
+                               [(0, 1), (1, 2), (2, 0), (4, 5), (5, 6), (6, 7), (7, 4)])]
+        for _ in range(200):
+            p = rng.choice([0.1, 0.3, 0.6])
+            graphs.append(random_graph(rng, rng.randint(1, 30), p))
+        for g in graphs:
+            assert _min_fill_order(g) == min_fill_reference(g)
+
+    @pytest.mark.parametrize("token,n,top", [
+        ("nu", 600, 6), ("kappa:2", 300, 5), ("kappa:3", 350, 4), ("eta", 300, 6),
+        ("eta", 450, 1),
+    ])
+    def test_path_star_graphs(self, token, n, top):
+        # stars 1..top on a window far from the start of the word
+        stars = list(range(1, top + 1))
+        spec = InfiniteWordSpec.from_token(token)
+        g = path_star_graph(spec, range(1000, 1000 + n - len(stars)), stars)
+        assert g.n == n
+        order, bags = min_fill_reference(g)
+        assert _min_fill_order(g) == (order, bags)
+        value, td = heuristic_treewidth_upper(g)
+        assert validate_decomposition(g, td).ok
+        assert value == max(len(b) for b in bags) - 1
 
 
 class TestBuildPower:
