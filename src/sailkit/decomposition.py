@@ -23,7 +23,17 @@ import heapq
 import json
 
 from .errors import CapExceededError, ObstructionError
-from .graphs import LabeledGraph, ValidationResult, components, non_star_components, walk
+from .graphs import (
+    LabeledGraph,
+    ValidationResult,
+    _each,
+    _field,
+    _int_list,
+    _int_pairs,
+    components,
+    non_star_components,
+    walk,
+)
 from .words import ARITHMETIC, FIBONACCI, POWER
 
 EXACT_TW_CAP = 25
@@ -67,8 +77,11 @@ class TreeDecomposition:
 
     @classmethod
     def from_obj(cls, obj):
-        bags = {entry["id"]: entry["bag"] for entry in obj["nodes"]}
-        return cls(bags, [tuple(e) for e in obj["edges"]])
+        bags = _each(_field(obj, "nodes", list, "decomposition"), "decomposition.nodes",
+                     lambda node: (_field(node, "id", int),
+                                   _int_list(_field(node, "bag", list), ".bag")))
+        edges = _int_pairs(_field(obj, "edges", list, "decomposition"), "decomposition.edges")
+        return cls(dict(bags), edges)
 
     @classmethod
     def from_json(cls, text):

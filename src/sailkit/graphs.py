@@ -40,15 +40,58 @@ class VertexTag:
         return {"kind": self.kind}
 
     @classmethod
-    def from_obj(cls, obj):
-        kind = obj["kind"]
+    def from_obj(cls, obj, where="tag"):
+        kind = _field(obj, "kind", str, where)
         if kind == "path":
-            return cls("path", pos=obj["pos"])
+            return cls("path", pos=_field(obj, "pos", int, where))
         if kind == "star":
-            return cls("star", letter=obj["letter"])
+            return cls("star", letter=_field(obj, "letter", int, where))
         if kind in ("subdivision", "plain"):
             return cls(kind)
-        raise ValueError(f"unknown tag kind {kind!r}")
+        raise ValueError(f"{where}.kind: unknown tag kind {kind!r}")
+
+
+def _field(obj, key, kind, where="", default=None):
+    """``obj[key]``, checked to be of JSON type `kind` (int, str, bool, list
+    or dict); `default` when the field is missing and a default is given.
+    Anything else raises a ValueError naming `where` and `key`."""
+    if type(obj) is not dict:
+        raise ValueError(f"{where}: expected a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        if default is None:
+            raise ValueError(f"{where}: missing field {key!r}")
+        return default
+    value = obj[key]
+    if type(value) is not kind:  # exact, so that true/false are not integers
+        raise ValueError(f"{where}.{key}: expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _int_list(value, where=""):
+    """`value` as a tuple of ints, or a ValueError naming `where`."""
+    if type(value) is not list or not {int}.issuperset(map(type, value)):
+        raise ValueError(f"{where}: expected a list of integers")
+    return tuple(value)
+
+
+def _int_pairs(items, where):
+    """`items` as a list of int pairs, or a ValueError naming the first bad one."""
+    for i, e in enumerate(items):
+        if type(e) is not list or len(e) != 2 or type(e[0]) is not int or type(e[1]) is not int:
+            raise ValueError(f"{where}[{i}]: expected a pair of integers")
+    return [tuple(e) for e in items]
+
+
+def _each(items, where, parse):
+    """``[parse(item) for item in items]``; a ValueError from item i gets
+    ``where[i]`` put before its message."""
+    out = []
+    for i, item in enumerate(items):
+        try:
+            out.append(parse(item))
+        except ValueError as exc:
+            raise ValueError(f"{where}[{i}]{exc}") from None
+    return out
 
 
 PLAIN = VertexTag("plain")
@@ -181,8 +224,11 @@ class LabeledGraph:
 
     @classmethod
     def from_obj(cls, obj, origin=None):
-        tags = {entry["id"]: VertexTag.from_obj(entry["tag"]) for entry in obj["vertices"]}
-        return cls(tags, [tuple(e) for e in obj["edges"]], origin=origin)
+        tags = _each(_field(obj, "vertices", list, "graph"), "graph.vertices",
+                     lambda v: (_field(v, "id", int),
+                                VertexTag.from_obj(_field(v, "tag", dict), ".tag")))
+        edges = _int_pairs(_field(obj, "edges", list, "graph"), "graph.edges")
+        return cls(dict(tags), edges, origin=origin)
 
     @classmethod
     def from_json(cls, text, origin=None):
@@ -237,9 +283,9 @@ class SailWitness:
     @classmethod
     def from_obj(cls, obj):
         return cls(
-            stars=tuple(obj["stars"]),
-            paths=tuple(tuple(p) for p in obj["paths"]),
-            subdivided=bool(obj.get("subdivided", False)),
+            stars=_int_list(_field(obj, "stars", list, "witness"), "witness.stars"),
+            paths=tuple(_each(_field(obj, "paths", list, "witness"), "witness.paths", _int_list)),
+            subdivided=_field(obj, "subdivided", bool, "witness", default=False),
         )
 
 
@@ -447,22 +493,12 @@ def contains_cycle_of_length(g: LabeledGraph, k: int) -> bool:
     """Whether g has a simple cycle of exactly k vertices (k >= 3)."""
     if k < 3:
         raise ValueError("cycle length must be >= 3")
-    order = {v: i for i, v in enumerate(g.vertices())}
-
-    def dfs(start, u, depth, used):
-        for w in g.neighbors(u):
-            if w == start and depth == k:
-                return True
-            if depth < k and w not in used and order[w] > order[start]:
-                used.add(w)
-                if dfs(start, w, depth + 1, used):
-                    return True
-                used.discard(w)
-        return False
-
+    within = set(g.vertices())
     for start in g.vertices():
-        if dfs(start, start, 1, {start}):
-            return True
+        within.discard(start)  # each cycle is found from its minimum vertex
+        for path in simple_paths(g.neighbors, start, within, k):
+            if len(path) == k and start in g.neighbors(path[-1]):
+                return True
     return False
 
 
@@ -530,6 +566,49 @@ def walk(neighbors, start, within):
         if order[-1] < order[1]:
             order = order[:1] + order[:0:-1]
     return order
+
+
+def simple_paths(neighbors, start, within, max_len=None):
+    """Simple paths from `start` whose other vertices lie in `within`, as
+    tuples in depth-first preorder: ascending neighbours, each path before
+    its extensions, none longer than `max_len` vertices.  Iterative, so a
+    long path does not hit Python's recursion limit."""
+    path, on_path, pending = [start], {start}, []
+    while True:
+        yield tuple(path)
+        if max_len is None or len(path) < max_len:
+            pending.append(iter(sorted(w for w in neighbors(path[-1]) if w in within)))
+        else:
+            on_path.discard(path.pop())
+        while pending:
+            w = next((w for w in pending[-1] if w not in on_path), None)
+            if w is not None:
+                break
+            pending.pop()
+            on_path.discard(path.pop())
+        else:
+            return
+        path.append(w)
+        on_path.add(w)
+
+
+def peel(neighbors, vertices, removable=None):
+    """What is left of `vertices` after repeatedly dropping a member of
+    `removable` (any vertex when None) with at most one neighbour left; the
+    result does not depend on the order of the drops."""
+    left = set(vertices)
+    removable = left if removable is None else removable
+    count = {v: sum(1 for w in neighbors(v) if w in left) for v in left}
+    queue = [v for v in left if count[v] <= 1 and v in removable]
+    while queue:
+        v = queue.pop()
+        left.discard(v)
+        for w in neighbors(v):
+            if w in left:
+                count[w] -= 1
+                if count[w] == 1 and w in removable:
+                    queue.append(w)
+    return left
 
 
 def non_star_components(g: LabeledGraph):

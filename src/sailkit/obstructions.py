@@ -7,7 +7,10 @@
 2. a structured matcher that suppresses degree-2 vertices on both sides and
    matches the resulting core multigraphs with chain-capacity dominance --
    this finds embeddings quickly in subdivision-shaped hosts but cannot
-   certify absence;
+   certify absence.  Its restart rounds stop once a round ends with no
+   attempt cut by its tick limit (later rounds would repeat it), and its
+   path and cycle searches for pendants and coreless pattern components
+   spend one tick of `fast_budget` per path they look at;
 3. a full interleaved branch-vertex/path search, complete up to a node
    budget (budget exhaustion raises, it never reports a silent "none").
 """
@@ -16,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, islice
 
 from .errors import CapExceededError
 from .graphs import (
@@ -26,6 +30,8 @@ from .graphs import (
     components,
     line_graph,
     path_star_graph,
+    peel,
+    simple_paths,
     walk,
     wall,
 )
@@ -108,14 +114,7 @@ def _strip_dangling(host):
     embedded subdivision of such a pattern has degree >= 2 inside the copy,
     so dangling host vertices can never participate.
     """
-    keep = set(host.vertices())
-    changed = True
-    while changed:
-        changed = False
-        for v in list(keep):
-            if sum(1 for w in host.neighbors(v) if w in keep) <= 1:
-                keep.discard(v)
-                changed = True
+    keep = peel(host.neighbors, host.vertices())
     if len(keep) == len(host.vertices()):
         return host
     return host.induced(keep)
@@ -352,24 +351,32 @@ def _structured_match(host, pattern, budget=12_000_000):
     anchors = [h for h in hc.core
                if stripped.degree(h) >= pattern.degree(order[0])] if order else []
     phi = routes = None
+    remaining_budget = budget
     if not order:
         phi, routes = {}, {}
     else:
-        remaining_budget = budget
         round_budget = 40_000
         while remaining_budget > 0 and phi is None:
+            exhausted = True
             for anchor in anchors:
-                got_phi, got_routes, spent = attempt(
-                    anchor, min(round_budget, remaining_budget))
+                limit = min(round_budget, remaining_budget)
+                got_phi, got_routes, spent = attempt(anchor, limit)
                 remaining_budget -= spent
                 if got_phi is not None:
                     phi, routes = got_phi, got_routes
                     break
+                exhausted = exhausted and spent <= limit
                 if remaining_budget <= 0:
                     break
+            if phi is None and exhausted:
+                # no attempt was cut by its limit: every later round would
+                # repeat the same searches
+                return None
             round_budget *= 10
     if phi is None:
         return None
+    # the path and cycle searches below spend what the rounds left
+    ticks = [remaining_budget]
 
     branch_map = dict(phi)
     paths = {}
@@ -424,7 +431,7 @@ def _structured_match(host, pattern, budget=12_000_000):
     for v, items in sorted(pc.pendants.items()):
         for p_int in sorted(items, key=len, reverse=True):
             unused = set(host.vertices()) - used
-            found = _find_path(host, [phi[v]], unused, len(p_int) + 1)
+            found = _find_path(host, [phi[v]], unused, len(p_int) + 1, ticks)
             if found is None:
                 return None
             lay([v] + list(p_int), found, span=False)
@@ -432,7 +439,7 @@ def _structured_match(host, pattern, budget=12_000_000):
     # coreless pattern components anywhere unused in the original host
     unused_set = {x for x in host.vertices() if x not in used}
     for pcyc in sorted(pc.cycle_comps, key=len, reverse=True):
-        cyc = _find_cycle(host, unused_set, len(pcyc))
+        cyc = _find_cycle(host, unused_set, len(pcyc), ticks)
         if cyc is None:
             return None
         k = len(pcyc)
@@ -446,11 +453,11 @@ def _structured_match(host, pattern, budget=12_000_000):
         used.update(cyc)
         unused_set -= set(cyc)
     for ppath in sorted(pc.path_comps, key=len, reverse=True):
-        found = _find_path(host, sorted(unused_set), unused_set, len(ppath))
+        found = _find_path(host, sorted(unused_set), unused_set, len(ppath), ticks)
         if found is None:
             return None
         branch_map[ppath[0]] = found[0]
-        lay(list(ppath), list(found), span=False)
+        lay(list(ppath), found, span=False)
         unused_set -= set(found[:len(ppath)])
     for pv in pc.isolated:
         if not unused_set:
@@ -482,45 +489,31 @@ def _hop_distances(adj):
     return dist
 
 
-def _find_path(host, starts, allowed, k):
+def _find_path(host, starts, allowed, k, ticks):
     """A simple path of k vertices, its other vertices inside `allowed`,
-    from the first of `starts` that begins one; None if none does."""
-    for start in starts:
-        out = [start]
-
-        def dfs(cur):
-            if len(out) == k:
-                return True
-            for w in sorted(host.neighbors(cur)):
-                if w in allowed and w not in out:
-                    out.append(w)
-                    if dfs(w):
-                        return True
-                    out.pop()
-            return False
-
-        if dfs(start):
-            return out
-    return None
+    from the first of `starts` that begins one; None if none does within
+    the ticks left."""
+    paths = chain.from_iterable(simple_paths(host.neighbors, start, allowed, k)
+                                for start in starts)
+    return _first(paths, lambda path: len(path) == k, ticks)
 
 
-def _find_cycle(host, allowed, k):
-    """A simple cycle of at least k vertices inside `allowed`, or None."""
-    for start in sorted(allowed):
-        path = [start]
+def _find_cycle(host, allowed, k, ticks):
+    """A simple cycle of at least k vertices inside `allowed`, found from
+    its minimum vertex; None if none is found within the ticks left."""
+    paths = chain.from_iterable(
+        simple_paths(host.neighbors, start, {w for w in allowed if w > start})
+        for start in sorted(allowed))
+    return _first(paths, lambda path: len(path) >= k and path[0] in host.neighbors(path[-1]),
+                  ticks)
 
-        def dfs(cur):
-            for w in sorted(host.neighbors(cur)):
-                if w == start and len(path) >= k:
-                    return True
-                if w in allowed and w not in path and w > start:
-                    path.append(w)
-                    if dfs(w):
-                        return True
-                    path.pop()
-            return False
 
-        if dfs(start):
+def _first(paths, wanted, ticks):
+    """The first of `paths` that is `wanted`, spending one of ``ticks[0]``
+    per path looked at; None when the paths or the ticks run out."""
+    for path in islice(paths, max(ticks[0], 0)):
+        ticks[0] -= 1
+        if wanted(path):
             return path
     return None
 

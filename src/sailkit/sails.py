@@ -17,9 +17,14 @@ from .graphs import (
     SailWitness,
     ValidationResult,
     _check_witness,
+    _each,
+    _field,
+    _int_list,
     components,
     non_star_components,
     path_star_graph,
+    peel,
+    simple_paths,
     walk,
 )
 from .words import POWER, InfiniteWordSpec
@@ -42,7 +47,8 @@ class MinorModel:
 
     @classmethod
     def from_obj(cls, obj):
-        return cls(tuple(frozenset(s) for s in obj["branchSets"]))
+        sets = _each(_field(obj, "branchSets", list, "model"), "model.branchSets", _int_list)
+        return cls(tuple(frozenset(s) for s in sets))
 
 
 class SailConstructionError(ValueError):
@@ -137,7 +143,8 @@ def _candidate_segments(g):
         try:
             order = walk(g.neighbors, comp[0], comp_set)
         except ValueError:
-            segs.extend(_all_simple_paths(g, comp_set))
+            for v in comp:
+                segs.extend(simple_paths(g.neighbors, v, comp_set))
             continue
         k = len(order)
         if k > 2 and order[-1] in g.neighbors(order[0]):
@@ -155,24 +162,6 @@ def _candidate_segments(g):
         key = s if s[0] <= s[-1] else tuple(reversed(s))
         uniq.setdefault(key, key)
     return sorted(uniq)
-
-
-def _all_simple_paths(g, comp_set):
-    out = []
-
-    def extend(path, used):
-        out.append(tuple(path))
-        for w in sorted(g.neighbors(path[-1])):
-            if w in comp_set and w not in used:
-                used.add(w)
-                path.append(w)
-                extend(path, used)
-                path.pop()
-                used.discard(w)
-
-    for v in sorted(comp_set):
-        extend([v], {v})
-    return out
 
 
 def _assign_components(g, combo, segments, adjacency):
@@ -306,17 +295,9 @@ def sail_girth_surgery(g: LabeledGraph, w: SailWitness, m: int):
     kept_idx = list(range(r, t, 2))
     removed = [w.stars[i] for i in range(t) if i not in set(kept_idx)]
 
-    keep = set(g.vertices()) - set(removed)
     # prune subdivision chains that dangle once their star is gone
-    changed = True
-    while changed:
-        changed = False
-        for v in list(keep):
-            if g.tag(v).kind == "subdivision":
-                live = sum(1 for x in g.neighbors(v) if x in keep)
-                if live <= 1:
-                    keep.discard(v)
-                    changed = True
+    subdivision = {v for v in g.vertices() if g.tag(v).kind == "subdivision"}
+    keep = peel(g.neighbors, set(g.vertices()) - set(removed), subdivision)
     residual = g.induced(keep)
     witness = SailWitness(
         stars=tuple(w.stars[i] for i in kept_idx),

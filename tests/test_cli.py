@@ -269,3 +269,29 @@ def test_missing_required_flag_exits_two(capsys, argv, flag):
 def test_removed_flags_exit_two(capsys, argv):
     assert run(argv) == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, text, field", [
+    ("--graph", '{"vertices": [{"id": 1}], "edges": []}', "graph.vertices[0]: missing field 'tag'"),
+    ("--graph", "[1, 2]", "graph: expected a JSON object, got list"),
+    ("--graph", '{"vertices": [{"id": 1, "tag": {"kind": "plain"}},'
+                ' {"id": "a", "tag": {"kind": "plain"}}], "edges": []}',
+     "graph.vertices[1].id: expected int, got str"),
+    ("--td", '{"edges": []}', "decomposition: missing field 'nodes'"),
+    ("--td", "[]", "decomposition: expected a JSON object, got list"),
+    ("--witness", '{"paths": [[1]]}', "witness: missing field 'stars'"),
+    ("--model", '{"branchSets": [[1], "x"]}', "model.branchSets[1]: expected a list of integers"),
+])
+def test_malformed_file_exits_two(tmp_path, capsys, flag, text, field):
+    graph = tmp_path / "g.json"
+    graph.write_text(wall(1, 1).to_json())
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    argv = {
+        "--graph": ["graph", "girth", "--graph", str(bad)],
+        "--td": ["decomp", "width", "--td", str(bad)],
+        "--witness": ["graph", "check-witness", "--graph", str(graph), "--witness", str(bad)],
+        "--model": ["sail", "check-minor", "--graph", str(graph), "--model", str(bad)],
+    }[flag]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == f"error: {field}\n"

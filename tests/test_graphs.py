@@ -22,12 +22,15 @@ from sailkit.graphs import (
     non_star_components,
     path_graph,
     path_star_graph,
+    peel,
+    simple_paths,
     star_tag,
     subdivide,
     walk,
     wall,
     wall_vertex_id,
 )
+from sailkit.obstructions import _find_cycle, _find_path
 from sailkit.words import InfiniteWordSpec
 
 
@@ -245,6 +248,9 @@ class TestGirth:
         assert contains_cycle_of_length(complete_graph(4), 3)
         assert contains_cycle_of_length(complete_graph(4), 4)
 
+    def test_cycle_length_query_past_the_recursion_limit(self):
+        assert contains_cycle_of_length(cycle_graph(1500), 1500) is True
+
 
 class TestInduced:
     def test_identity(self):
@@ -398,3 +404,162 @@ class TestComponentsAndWalk:
         adj = {0: {1, 2, 3}, 1: {0}, 2: {0}, 3: {0}}
         with pytest.raises(ValueError):
             walk(adj.__getitem__, 0, adj)
+
+
+# ---------------------------------------------------------------------------
+# the recursive path searches and peel loops that `simple_paths` and `peel`
+# replaced, kept as references
+# ---------------------------------------------------------------------------
+
+def find_path_reference(host, starts, allowed, k):
+    """A simple path of k vertices, its other vertices inside `allowed`,
+    from the first of `starts` that begins one; None if none does."""
+    for start in starts:
+        out = [start]
+
+        def dfs(cur):
+            if len(out) == k:
+                return True
+            for w in sorted(host.neighbors(cur)):
+                if w in allowed and w not in out:
+                    out.append(w)
+                    if dfs(w):
+                        return True
+                    out.pop()
+            return False
+
+        if dfs(start):
+            return out
+    return None
+
+
+def find_cycle_reference(host, allowed, k):
+    """A simple cycle of at least k vertices inside `allowed`, or None."""
+    for start in sorted(allowed):
+        path = [start]
+
+        def dfs(cur):
+            for w in sorted(host.neighbors(cur)):
+                if w == start and len(path) >= k:
+                    return True
+                if w in allowed and w not in path and w > start:
+                    path.append(w)
+                    if dfs(w):
+                        return True
+                    path.pop()
+            return False
+
+        if dfs(start):
+            return path
+    return None
+
+
+def all_simple_paths_reference(g, comp_set):
+    out = []
+
+    def extend(path, used):
+        out.append(tuple(path))
+        for w in sorted(g.neighbors(path[-1])):
+            if w in comp_set and w not in used:
+                used.add(w)
+                path.append(w)
+                extend(path, used)
+                path.pop()
+                used.discard(w)
+
+    for v in sorted(comp_set):
+        extend([v], {v})
+    return out
+
+
+def contains_cycle_of_length_reference(g, k):
+    order = {v: i for i, v in enumerate(g.vertices())}
+
+    def dfs(start, u, depth, used):
+        for w in g.neighbors(u):
+            if w == start and depth == k:
+                return True
+            if depth < k and w not in used and order[w] > order[start]:
+                used.add(w)
+                if dfs(start, w, depth + 1, used):
+                    return True
+                used.discard(w)
+        return False
+
+    return any(dfs(start, start, 1, {start}) for start in g.vertices())
+
+
+def strip_dangling_reference(host):
+    keep = set(host.vertices())
+    changed = True
+    while changed:
+        changed = False
+        for v in list(keep):
+            if sum(1 for w in host.neighbors(v) if w in keep) <= 1:
+                keep.discard(v)
+                changed = True
+    return keep
+
+
+def prune_dangling_reference(g, keep, removable):
+    """The girth surgery's loop, with `removable` for its subdivision test."""
+    keep = set(keep)
+    changed = True
+    while changed:
+        changed = False
+        for v in list(keep):
+            if v in removable:
+                live = sum(1 for x in g.neighbors(v) if x in keep)
+                if live <= 1:
+                    keep.discard(v)
+                    changed = True
+    return keep
+
+
+class TestSimplePathsAndPeel:
+    """`simple_paths` and `peel`, and the searches built on them, against
+    the routines they replaced, on seeded random graphs."""
+
+    def test_simple_paths_match_reference(self):
+        rng = random.Random(41)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(1, 12), rng.choice([0.15, 0.25, 0.35]))
+            within = set(rng.sample(g.vertices(), rng.randint(0, min(g.n, 9))))
+            want = all_simple_paths_reference(g, within)
+            assert [p for v in sorted(within)
+                    for p in simple_paths(g.neighbors, v, within)] == want
+            max_len = rng.randint(1, 5)
+            assert [p for v in sorted(within)
+                    for p in simple_paths(g.neighbors, v, within, max_len)] == \
+                [p for p in want if len(p) <= max_len]
+            start = rng.choice(g.vertices())  # not always inside `within`
+            assert list(simple_paths(g.neighbors, start, within)) == [
+                p for p in all_simple_paths_reference(g, within | {start}) if p[0] == start]
+
+    def test_path_and_cycle_searches_match_references(self):
+        rng = random.Random(42)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(1, 12), rng.choice([0.2, 0.35, 0.5]))
+            within = set(rng.sample(g.vertices(), rng.randint(0, g.n)))
+            starts = rng.sample(g.vertices(), rng.randint(1, g.n))
+            for k in range(1, 7):
+                want = find_path_reference(g, starts, within, k)
+                got = _find_path(g, starts, within, k, [10 ** 9])
+                assert got == (None if want is None else tuple(want))
+            for k in range(3, 8):
+                want = find_cycle_reference(g, within, k)
+                got = _find_cycle(g, within, k, [10 ** 9])
+                assert got == (None if want is None else tuple(want))
+            for k in range(3, min(g.n, 8) + 1):
+                assert contains_cycle_of_length(g, k) == \
+                    contains_cycle_of_length_reference(g, k)
+
+    def test_peel_matches_references(self):
+        rng = random.Random(43)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 12), rng.choice([0.1, 0.15, 0.25]))
+            assert peel(g.neighbors, g.vertices()) == strip_dangling_reference(g)
+            keep = rng.sample(g.vertices(), rng.randint(0, g.n))
+            removable = set(rng.sample(g.vertices(), rng.randint(0, g.n)))
+            assert peel(g.neighbors, keep, removable) == \
+                prune_dangling_reference(g, keep, removable)

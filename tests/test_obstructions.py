@@ -6,6 +6,8 @@ import pytest
 
 from sailkit.errors import CapExceededError
 from sailkit.graphs import (
+    PLAIN,
+    LabeledGraph,
     complete_bipartite,
     complete_graph,
     cycle_graph,
@@ -17,6 +19,7 @@ from sailkit.graphs import (
     wall,
 )
 from sailkit.obstructions import (
+    _find_cycle,
     contains_subdivision,
     kkw_scan,
     separator_check,
@@ -87,6 +90,55 @@ class TestContainsSubdivision:
         emb = contains_subdivision(big_host, pattern)
         assert emb is not None
         assert validate_embedding(big_host, pattern, emb).ok
+
+
+def k4_chain(blocks):
+    """Disjoint K4 blocks, each joined to the next by one edge: no cycle
+    has more than four vertices, but paths multiply from block to block."""
+    edges = [(4 * i + a, 4 * i + b) for i in range(blocks)
+             for a, b in itertools.combinations(range(4), 2)]
+    edges += [(4 * i + 3, 4 * i + 4) for i in range(blocks - 1)]
+    return LabeledGraph({v: PLAIN for v in range(4 * blocks)}, edges)
+
+
+class TestStructuredStageBounds:
+    """Stage 2 stops when a round is exhausted or no anchor fits, and its
+    path and cycle searches spend `fast_budget`.  Before that, the first
+    three searches below took 30 s, 89 s and forever."""
+
+    def test_exhausted_rounds_are_not_replayed(self, deadline):
+        deadline(10)
+        octahedron = LabeledGraph({v: PLAIN for v in range(6)},
+                                  [(a, b) for a, b in itertools.combinations(range(6), 2)
+                                   if (a, b) not in ((0, 1), (2, 3), (4, 5))])
+        assert contains_subdivision(octahedron, complete_graph(5)) is None
+
+    def test_cycle_search_spends_the_fast_budget(self, deadline):
+        deadline(10)
+        try:
+            found = contains_subdivision(k4_chain(10), cycle_graph(5), fast_budget=100_000)
+        except CapExceededError:
+            found = None
+        assert found is None
+
+    def test_no_anchor_ends_the_rounds(self, deadline):
+        deadline(10)
+        # stripping the pendant leaves no degree-4 host core vertex to anchor
+        # the star's centre, so stage 2 has no attempt to make at all
+        host = LabeledGraph({v: PLAIN for v in range(5)},
+                            list(itertools.combinations(range(4), 2)) + [(0, 4)])
+        star = complete_bipartite(1, 4)
+        emb = contains_subdivision(host, star)
+        assert emb is not None and validate_embedding(host, star, emb).ok
+
+    def test_one_tick_per_path(self):
+        # from vertex 0 the cycle is the sixth path: (0,), (0, 1), ..., (0, ..., 5)
+        ticks = [5]
+        assert _find_cycle(cycle_graph(6), set(range(6)), 6, ticks) is None
+        assert ticks == [0]
+        ticks = [6]
+        assert _find_cycle(cycle_graph(6), set(range(6)), 6, ticks) == (0, 1, 2, 3, 4, 5)
+        assert ticks == [0]
 
 
 class TestKkwScan:
