@@ -2,8 +2,9 @@
 
 Subcommands: word, graph, sail, decomp, tw, obstruct, experiment.
 Exit codes: 0 success, 1 validation or obstruction failure, 2 bad input,
-3 cap exceeded.  Identical argv and inputs produce identical output, except
-for the elapsed-milliseconds column of experiment rows.
+3 cap exceeded, 4 internal error.  Identical argv and inputs produce
+identical output, except for the elapsed-milliseconds column of experiment
+rows.
 """
 
 from __future__ import annotations
@@ -498,6 +499,9 @@ def run(argv) -> int:
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # a bug, not bad input: never exit 1 for it
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 def main():

@@ -21,17 +21,20 @@ from __future__ import annotations
 
 import heapq
 import json
+from itertools import chain
 
 from .errors import CapExceededError, ObstructionError
 from .graphs import (
     LabeledGraph,
     ValidationResult,
+    _by_id,
     _each,
     _field,
     _int_list,
     _int_pairs,
     components,
     non_star_components,
+    suppress,
     walk,
 )
 from .words import ARITHMETIC, FIBONACCI, POWER
@@ -81,7 +84,7 @@ class TreeDecomposition:
                      lambda node: (_field(node, "id", int),
                                    _int_list(_field(node, "bag", list), ".bag")))
         edges = _int_pairs(_field(obj, "edges", list, "decomposition"), "decomposition.edges")
-        return cls(dict(bags), edges)
+        return cls(_by_id(bags, "decomposition.nodes"), edges)
 
     @classmethod
     def from_json(cls, text):
@@ -512,11 +515,7 @@ def build_arithmetic(g: LabeledGraph, t: int) -> TreeDecomposition:
 
     # contracted path adjacency between skeleton path vertices
     cadj = {v: set() for v in vletter}
-    for u, v in g.edges():
-        if u in vletter and v in vletter:
-            cadj[u].add(v)
-            cadj[v].add(u)
-    for (u, v), _ in chains.items():
+    for u, v in chain(g.edges(), chains):
         if u in vletter and v in vletter:
             cadj[u].add(v)
             cadj[v].add(u)
@@ -651,20 +650,15 @@ def _contract_chains(g, skeleton):
                 f"vertex {v} is neither a star, a lettered path vertex, nor a"
                 " degree-<=2 connector; not a path-star graph for this builder")
     chains, dangling, free = {}, [], []
-    other_set = set(other)
-    for comp in components(g.neighbors, other):
-        ends = sorted({w for v in comp for w in g.neighbors(v) if w in skeleton})
-        # a chain is ordered from its end next to the smallest skeleton vertex
-        start = min(v for v in comp if ends[0] in g.neighbors(v)) if ends else comp[0]
-        interior = walk(g.neighbors, start, other_set)
-        if len(interior) > 2 and interior[0] in g.neighbors(interior[-1]):
+    for a, run, b in suppress(g.neighbors, g.vertices(), skeleton):
+        if len(run) > 2 and run[0] in g.neighbors(run[-1]):
             raise ValueError("connector component is a cycle; not a path-star graph")
-        if len(ends) == 2:
-            chains[(ends[0], ends[1])] = interior
-        elif len(ends) == 1:
-            dangling.append((ends[0], interior))
+        if b is not None and a != b:
+            chains[(a, b)] = run
+        elif a is not None:
+            dangling.append((a, run))
         else:
-            free.append(interior)
+            free.append(run)
     return chains, dangling, free
 
 
@@ -686,10 +680,7 @@ def _splice_chains(asm, g, chains, dangling, free, fallback_node):
             raise ValueError(f"no bag contains both chain ends {u}, {w}")
         node = host
         for a, b in zip([u] + interior, interior + [w]):
-            if b == w:
-                node = asm.add({a, w}, node)
-            else:
-                node = asm.add({a, b, w}, node)
+            node = asm.add({a, b, w}, node)
     for u, interior in sorted(dangling):
         host = asm.first_containing({u})
         node = host if host is not None else fallback_node

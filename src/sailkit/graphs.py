@@ -17,6 +17,7 @@ Vertex id conventions, chosen so ids are stable across instances:
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -91,6 +92,17 @@ def _each(items, where, parse):
             out.append(parse(item))
         except ValueError as exc:
             raise ValueError(f"{where}[{i}]{exc}") from None
+    return out
+
+
+def _by_id(pairs, where):
+    """(id, value) `pairs` as a dict, or a ValueError naming the first
+    repeated id as ``where[i].id``."""
+    out = {}
+    for i, (key, value) in enumerate(pairs):
+        if key in out:
+            raise ValueError(f"{where}[{i}].id: duplicate id {key}")
+        out[key] = value
     return out
 
 
@@ -228,7 +240,7 @@ class LabeledGraph:
                      lambda v: (_field(v, "id", int),
                                 VertexTag.from_obj(_field(v, "tag", dict), ".tag")))
         edges = _int_pairs(_field(obj, "edges", list, "graph"), "graph.edges")
-        return cls(dict(tags), edges, origin=origin)
+        return cls(_by_id(tags, "graph.vertices"), edges, origin=origin)
 
     @classmethod
     def from_json(cls, text, origin=None):
@@ -461,31 +473,23 @@ def path_star_graph(spec: InfiniteWordSpec, positions, star_letters,
 def girth(g: LabeledGraph):
     """Length of a shortest cycle, or None for forests.
 
-    BFS from every vertex; a non-tree edge seen at depths d(u), d(w) closes
-    a walk of length d(u)+d(w)+1 through the root, which always contains a
-    cycle no longer than that, and roots on a shortest cycle achieve it.
+    BFS from every vertex.  A vertex at depth d with two neighbours at depth
+    d-1 closes a walk of length 2d through the root, and an edge between two
+    vertices at depth d one of length 2d+1; each walk contains a cycle no
+    longer than itself, and a root on a shortest cycle achieves its length.
     """
     best = None
-    vertices = g.vertices()
-    for root in vertices:
-        dist = {root: 0}
-        parent = {root: None}
-        queue = [root]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            if best is not None and dist[u] * 2 > best:
+    for root in g.vertices():
+        depth = {}
+        for u, d in bfs(g.neighbors, [root]):
+            if best is not None and 2 * d >= best:
                 break
-            for w in g.neighbors(u):
-                if w not in dist:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w and parent[w] != u:
-                    length = dist[u] + dist[w] + 1
-                    if best is None or length < best:
-                        best = length
+            depth[u] = d
+            near = [depth.get(w) for w in g.neighbors(u)]
+            if near.count(d - 1) >= 2:
+                best = 2 * d
+            elif d in near:
+                best = 2 * d + 1
     return best
 
 
@@ -611,6 +615,78 @@ def peel(neighbors, vertices, removable=None):
     return left
 
 
+def bfs(neighbors, sources, within=None):
+    """(vertex, hop distance) pairs from `sources` (distance 0) in visit
+    order, reaching other vertices only inside `within` (anywhere when
+    None).  A generator, so a caller can stop at any depth."""
+    dist = dict.fromkeys(sources, 0)
+    queue = list(dist)
+    for u in queue:  # the queue grows while it is read
+        yield u, dist[u]
+        for w in neighbors(u):
+            if w not in dist and (within is None or w in within):
+                dist[w] = dist[u] + 1
+                queue.append(w)
+
+
+def blocks(neighbors, vertices):
+    """(blocks, cut vertices) of the subgraph induced by `vertices`, each
+    block and both lists sorted; isolated vertices are in no block.
+
+    Iterative Hopcroft-Tarjan: a child whose subtree has no back edge above
+    its parent closes a block, the parent plus the vertices visited since
+    the child was entered."""
+    within = set(vertices)
+    index, low, found = {}, {}, []
+    for root in vertices:
+        if root in index:
+            continue
+        index[root] = low[root] = len(index)
+        visited, frames = [root], [(root, iter(neighbors(root)))]
+        while frames:
+            u, rest = frames[-1]
+            w = next(rest, None)
+            if w is None:
+                frames.pop()
+                if not frames:
+                    continue
+                parent = frames[-1][0]
+                low[parent] = min(low[parent], low[u])
+                if low[u] >= index[parent]:
+                    block = [parent]
+                    while block[-1] != u:
+                        block.append(visited.pop())
+                    found.append(sorted(block))
+            elif w not in within:
+                continue
+            elif w in index:
+                low[u] = min(low[u], index[w])
+            else:
+                index[w] = low[w] = len(index)
+                visited.append(w)
+                frames.append((w, iter(neighbors(w))))
+    # the cut vertices are the vertices in two or more blocks
+    count = Counter(v for block in found for v in block)
+    return sorted(found), sorted(v for v, c in count.items() if c > 1)
+
+
+def suppress(neighbors, vertices, keep):
+    """(a, run, b) for each maximal run of `vertices` outside `keep`, in
+    `components` order.  Vertices outside `keep` must have at most two
+    neighbours, so a run is a path or a cycle; it comes in walk order (see
+    `walk`) from its end next to the least member of `keep` it touches, and
+    a <= b are the members of `keep` next to its ends, None where none is.
+    """
+    other = [v for v in vertices if v not in keep]
+    within = set(other)
+    out = []
+    for comp in components(neighbors, other):
+        ends = sorted((k, v) for v in comp for k in neighbors(v) if k in keep)
+        run = walk(neighbors, ends[0][1] if ends else comp[0], within)
+        out.append((ends[0][0] if ends else None, run, ends[1][0] if len(ends) > 1 else None))
+    return out
+
+
 def non_star_components(g: LabeledGraph):
     """Connected components of g minus its star nodes, sorted.
 
@@ -662,37 +738,31 @@ def _check_witness(g, w):
                  " components", None)], {}
 
     problems = []
-    listed_set = set(listed)
-    used_interior = set()
     chains = {}
+    # chain interiors: unlisted degree-2 vertices no earlier chain used
+    free = ({v for v in g.vertices() if g.degree(v) == 2} - set(listed)
+            if w.subdivided else set())
 
     def chain_interiors(src, targets):
-        """Shortest path from src to any vertex in targets through unlisted,
-        unused, degree-2 vertices; returns (target, interiors) or None."""
+        """Interiors of a shortest path from src to any vertex in targets
+        through `free` vertices (the least target, then the least interiors,
+        on ties), or None."""
         best = None
-        parent = {src: None}
-        queue = [(src, 0)]
-        head = 0
-        while head < len(queue):
-            u, d = queue[head]
-            head += 1
-            for x in sorted(g.neighbors(u)):
-                if x in targets and x != src:
-                    interiors = []
-                    back = u
-                    while back != src:
-                        interiors.append(back)
-                        back = parent[back]
-                    cand = (d, x, tuple(reversed(interiors)))
-                    if best is None or cand < best:
-                        best = cand
-                elif (x not in parent and x not in listed_set
-                      and x not in used_interior and g.degree(x) == 2):
-                    parent[x] = u
-                    queue.append((x, d + 1))
-        if best is None:
-            return None
-        return best[1], best[2]
+        depth = {}
+        for u, d in bfs(g.neighbors, [src], free):
+            if best is not None and d > best[0]:
+                break
+            depth[u] = d
+            hits = [x for x in g.neighbors(u) if x in targets]
+            if hits:
+                # each interior vertex has degree 2: one neighbour leads back
+                back = [u] if d else []
+                while len(back) < d:
+                    back.append(next(x for x in g.neighbors(back[-1])
+                                     if depth.get(x) == d - len(back)))
+                found = (d, min(hits), tuple(reversed(back)))
+                best = found if best is None else min(best, found)
+        return None if best is None else best[2]
 
     # path components: consecutive listed vertices adjacent (or chained)
     for k, comp in enumerate(w.paths, start=1):
@@ -703,13 +773,12 @@ def _check_witness(g, w):
                 problems.append(
                     (f"path component {k}: vertices {a} and {b} not adjacent", None))
                 continue
-            found = chain_interiors(a, {b})
-            if found is None:
+            interiors = chain_interiors(a, {b})
+            if interiors is None:
                 problems.append(
                     (f"path component {k}: no subdivision chain joins {a} and {b}", None))
                 continue
-            _, interiors = found
-            used_interior.update(interiors)
+            free.difference_update(interiors)
             chains[("path", k, a, b)] = interiors
 
     # coverage: star i sees component j for all i <= j
@@ -723,14 +792,13 @@ def _check_witness(g, w):
                     (f"missing coverage: star {i} not adjacent to path component {j}"
                      f" (pair ({i}, {j}))", (i, j)))
                 continue
-            found = chain_interiors(star, comp)
-            if found is None:
+            interiors = chain_interiors(star, comp)
+            if interiors is None:
                 problems.append(
                     (f"missing coverage: star {i} not joined to path component {j}"
                      f" (pair ({i}, {j}))", (i, j)))
                 continue
-            _, interiors = found
-            used_interior.update(interiors)
+            free.difference_update(interiors)
             chains[("cover", i, j)] = interiors
 
     return problems, chains

@@ -13,6 +13,9 @@
    spend one tick of `fast_budget` per path they look at;
 3. a full interleaved branch-vertex/path search, complete up to a node
    budget (budget exhaustion raises, it never reports a silent "none").
+
+Stages 2 and 3 run without dangling host trees when the pattern has minimum
+degree >= 2, and once per host block when it is 2-connected.
 """
 
 from __future__ import annotations
@@ -27,12 +30,14 @@ from .graphs import (
     ValidationResult,
     complete_bipartite,
     complete_graph,
+    blocks,
+    bfs,
     components,
     line_graph,
     path_star_graph,
     peel,
     simple_paths,
-    walk,
+    suppress,
     wall,
 )
 from .words import InfiniteWordSpec
@@ -107,19 +112,6 @@ def _counting_reject(host, pattern):
     return False
 
 
-def _strip_dangling(host):
-    """Iteratively drop degree <= 1 host vertices.
-
-    Sound whenever the pattern has minimum degree >= 2: every vertex of an
-    embedded subdivision of such a pattern has degree >= 2 inside the copy,
-    so dangling host vertices can never participate.
-    """
-    keep = peel(host.neighbors, host.vertices())
-    if len(keep) == len(host.vertices()):
-        return host
-    return host.induced(keep)
-
-
 # ---------------------------------------------------------------------------
 # stage 2: suppressed-core matching
 # ---------------------------------------------------------------------------
@@ -129,55 +121,38 @@ class _Core:
     between them, loops, pendant tails, and coreless components."""
 
     def __init__(self, g):
-        self.g = g
         self.core = [v for v in g.vertices() if g.degree(v) >= 3]
         core_set = set(self.core)
-        self.chains = {}    # (u, w) u <= w -> list of interior tuples (from u)
+        self.chains = {}    # (u, w) u < w -> list of interior tuples (from u)
         self.loops = {}     # u -> list of interior tuples
         self.pendants = {}  # u -> list of interior tuples (include the tip)
         self.path_comps = []
         self.cycle_comps = []
         self.isolated = []
-
-        seen_edges = set()
-        absorbed = set()
-        for u in self.core:
-            for x in sorted(g.neighbors(u)):
-                if (min(u, x), max(u, x)) in seen_edges:
-                    continue
-                interior = []
-                prev, cur = u, x
-                while cur not in core_set and g.degree(cur) == 2:
-                    interior.append(cur)
-                    nxt = [w for w in g.neighbors(cur) if w != prev][0]
-                    prev, cur = cur, nxt
-                for a, b in zip([u] + interior, interior + [cur]):
-                    seen_edges.add((min(a, b), max(a, b)))
-                absorbed.update(interior)
-                if cur in core_set:
-                    if cur == u:
-                        self.loops.setdefault(u, []).append(tuple(interior))
-                    else:
-                        key = (min(u, cur), max(u, cur))
-                        ordered = tuple(interior if u == key[0] else reversed(interior))
-                        self.chains.setdefault(key, []).append(ordered)
+        for u, w in g.edges():
+            if u in core_set and w in core_set:
+                self.chains.setdefault((u, w), []).append(())
+        for a, run, b in suppress(g.neighbors, g.vertices(), core_set):
+            run = tuple(run)
+            if a is None:
+                if len(run) == 1:
+                    self.isolated.append(run[0])
+                elif len(run) > 2 and run[0] in g.neighbors(run[-1]):
+                    self.cycle_comps.append(run)
                 else:
-                    absorbed.add(cur)
-                    self.pendants.setdefault(u, []).append(tuple(interior + [cur]))
-        # loop chains get discovered from both ends; keep one copy of each pair
-        for u, items in self.loops.items():
-            items.sort()
-            self.loops[u] = [it for i, it in enumerate(items) if i % 2 == 0]
-
-        placed = core_set | absorbed
-        rest = [v for v in g.vertices() if v not in placed]
-        for comp in components(g.neighbors, rest):
-            if len(comp) == 1:
-                self.isolated.append(comp[0])
-            elif all(g.degree(a) == 2 for a in comp):
-                self.cycle_comps.append(tuple(walk(g.neighbors, comp[0], set(comp))))
+                    self.path_comps.append(run)
+            elif b is None:
+                self.pendants.setdefault(a, []).append(run)
+            elif a == b:
+                self.loops.setdefault(a, []).append(run)
             else:
-                self.path_comps.append(tuple(walk(g.neighbors, comp[0], set(comp))))
+                self.chains.setdefault((a, b), []).append(run)
+        # each list in the order a scan of its first core vertex's sorted
+        # neighbours meets it
+        for (u, w), items in self.chains.items():
+            items.sort(key=lambda interior, w=w: interior[0] if interior else w)
+        for items in chain(self.loops.values(), self.pendants.values()):
+            items.sort()
 
     def chain_adjacency(self):
         """Core vertex -> the core vertices a chain joins it to."""
@@ -188,7 +163,7 @@ class _Core:
         return adj
 
 
-def _structured_match(host, pattern, budget=12_000_000):
+def _structured_match(host, stripped, pattern, budget=12_000_000):
     """Core-level topological-minor search; None means inconclusive.
 
     Both sides are suppressed.  Pattern core vertices are placed on host
@@ -196,11 +171,11 @@ def _structured_match(host, pattern, budget=12_000_000):
     path in the host core multigraph whose total interior capacity covers
     the chain's interior; the result is then expanded back to host paths.
     Pattern pendants, coreless components, and isolated vertices are routed
-    through whatever the core phase left unused in the original host.  Any
-    embedding found is re-validated, so this stage only errs on the side of
-    "inconclusive"; absence is never concluded here.
+    through whatever the core phase left unused in `host`; `stripped` is
+    `host` without its dangling trees.  Any embedding found is re-validated,
+    so this stage only errs on the side of "inconclusive"; absence is never
+    concluded here.
     """
-    stripped = _strip_dangling(host)
     hc = _Core(stripped)
     pc = _Core(pattern)
     if len(pc.core) > len(hc.core):
@@ -232,8 +207,9 @@ def _structured_match(host, pattern, budget=12_000_000):
     # maps to a host path of at least L hops, and every extra hop burns one
     # spare host core, so images can exceed pattern distance only by the
     # number of spares still available
-    hop_dist = _hop_distances(hc.chain_adjacency())
-    pdist = _hop_distances(padj)
+    core_adj = hc.chain_adjacency()
+    hop_dist = {u: dict(bfs(core_adj.__getitem__, [u])) for u in hc.core}
+    pdist = {u: dict(bfs(padj.__getitem__, [u])) for u in pc.core}
 
     # Each depth-0 anchor gets its own escalating tick budget: wrong
     # anchors on rigid hosts waste enormous subtrees, so restarts dominate
@@ -442,15 +418,8 @@ def _structured_match(host, pattern, budget=12_000_000):
         cyc = _find_cycle(host, unused_set, len(pcyc), ticks)
         if cyc is None:
             return None
-        k = len(pcyc)
-        for i in range(k):
-            branch_map[pcyc[i]] = cyc[i]
-        for i in range(k - 1):
-            a, b = pcyc[i], pcyc[i + 1]
-            paths[(min(a, b), max(a, b))] = (cyc[i], cyc[i + 1])
-        a, b = pcyc[k - 1], pcyc[0]
-        paths[(min(a, b), max(a, b))] = tuple(cyc[k - 1:]) + (cyc[0],)
-        used.update(cyc)
+        branch_map[pcyc[0]] = cyc[0]
+        lay(list(pcyc) + [pcyc[0]], list(cyc) + [cyc[0]], span=True)
         unused_set -= set(cyc)
     for ppath in sorted(pc.path_comps, key=len, reverse=True):
         found = _find_path(host, sorted(unused_set), unused_set, len(ppath), ticks)
@@ -469,24 +438,6 @@ def _structured_match(host, pattern, budget=12_000_000):
 
     emb = SubdivisionEmbedding(branch_map, paths)
     return emb if validate_embedding(host, pattern, emb) else None
-
-
-def _hop_distances(adj):
-    """BFS hop distances from every vertex of the adjacency dict `adj`."""
-    dist = {}
-    for source in adj:
-        d = {source: 0}
-        frontier = [source]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for other in adj[node]:
-                    if other not in d:
-                        d[other] = d[node] + 1
-                        nxt.append(other)
-            frontier = nxt
-        dist[source] = d
-    return dist
 
 
 def _find_path(host, starts, allowed, k, ticks):
@@ -627,6 +578,12 @@ def contains_subdivision(host: LabeledGraph, pattern: LabeledGraph, *,
     `fast_budget` bounds the restart schedule of the structured first stage,
     which can only find embeddings, never certify absence; `budget` bounds
     the complete fallback search.
+
+    Dangling host trees hold no vertex of a copy of a pattern of minimum
+    degree >= 2, so they are peeled off.  A copy of a 2-connected pattern
+    lies inside one host block, so then each block is searched on its own,
+    with both budgets: CapExceededError means no block has the pattern and
+    some block could not be decided.
     """
     if pattern.n > pattern_cap:
         raise CapExceededError(
@@ -637,14 +594,30 @@ def contains_subdivision(host: LabeledGraph, pattern: LabeledGraph, *,
         return None
     if pattern.n == 0:
         return SubdivisionEmbedding({}, {})
-    if min(pattern.degree(v) for v in pattern.vertices()) >= 2:
-        host = _strip_dangling(host)
-        if _counting_reject(host, pattern):
-            return None
-    emb = _structured_match(host, pattern, budget=fast_budget)
-    if emb is not None:
-        return emb
-    return _full_search(host, pattern, budget)
+    kept = peel(host.neighbors, host.vertices())
+    stripped = host if len(kept) == host.n else host.induced(kept)
+    if min(pattern.degree(v) for v in pattern.vertices()) < 2:
+        return (_structured_match(host, stripped, pattern, fast_budget)
+                or _full_search(host, pattern, budget))
+    if len(blocks(pattern.neighbors, pattern.vertices())[0]) == 1:
+        parts = blocks(stripped.neighbors, stripped.vertices())[0]
+    else:
+        parts = [stripped.vertices()]
+    capped = None
+    for part in parts:
+        sub = stripped if len(part) == stripped.n else stripped.induced(part)
+        if _counting_reject(sub, pattern):
+            continue
+        try:
+            emb = (_structured_match(sub, sub, pattern, fast_budget)
+                   or _full_search(sub, pattern, budget))
+            if emb is not None:
+                return emb
+        except CapExceededError as exc:
+            capped = exc
+    if capped is not None:
+        raise capped
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -666,9 +639,13 @@ def kkw_scan(g: LabeledGraph, *, host_cap: int = HOST_CAP,
              budget: int = SEARCH_BUDGET, fast_budget: int = 12_000_000) -> dict:
     """Presence of the four classical obstructions as subdivisions.
 
-    Returns {"K5"|"K44"|"W4x4"|"LW4x4": "present"|"absent"|"cap"}.  The wall
-    and line-graph entries use the fixed 4x4 patterns; a "cap" entry means
-    the search hit its budget, never a silent absence.
+    Returns {"K5"|"K44"|"W4x4"|"LW4x4": "present"|"absent"|"cap"}.  Each
+    entry decides whether g has a subdivision of the pattern as a subgraph,
+    not as an induced subgraph.  The wall and line-graph entries use the
+    fixed 4x4 patterns: "LW4x4" looks for a subdivision of L(W4x4), the
+    line graph of the wall itself, not for the paper's line graph of a
+    subdivided wall.  A "cap" entry means the search hit its budget, never
+    a silent absence.
     """
     report = {}
     for name, pattern in _kkw_patterns():

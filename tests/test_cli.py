@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from sailkit import cli
 from sailkit.cli import run
 from sailkit.graphs import wall
 
@@ -277,7 +278,12 @@ def test_removed_flags_exit_two(capsys, argv):
     ("--graph", '{"vertices": [{"id": 1, "tag": {"kind": "plain"}},'
                 ' {"id": "a", "tag": {"kind": "plain"}}], "edges": []}',
      "graph.vertices[1].id: expected int, got str"),
+    ("--graph", '{"vertices": [{"id": 1, "tag": {"kind": "plain"}},'
+                ' {"id": 1, "tag": {"kind": "plain"}}], "edges": []}',
+     "graph.vertices[1].id: duplicate id 1"),
     ("--td", '{"edges": []}', "decomposition: missing field 'nodes'"),
+    ("--td", '{"nodes": [{"id": 0, "bag": [0]}, {"id": 0, "bag": [1]}], "edges": []}',
+     "decomposition.nodes[1].id: duplicate id 0"),
     ("--td", "[]", "decomposition: expected a JSON object, got list"),
     ("--witness", '{"paths": [[1]]}', "witness: missing field 'stars'"),
     ("--model", '{"branchSets": [[1], "x"]}', "model.branchSets[1]: expected a list of integers"),
@@ -295,3 +301,14 @@ def test_malformed_file_exits_two(tmp_path, capsys, flag, text, field):
     }[flag]
     assert run(argv) == 2
     assert capsys.readouterr().err == f"error: {field}\n"
+
+
+def test_unexpected_exception_exits_four(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli._HANDLERS, "word", broken)
+    assert run(["word", "--family", "nu", "--at", "3"]) == 4
+    captured = capsys.readouterr()
+    assert captured.err == "internal error: RuntimeError: boom\n" and captured.out == ""
+

@@ -7,6 +7,7 @@ import pytest
 
 from sailkit.decomposition import (
     TreeDecomposition,
+    _contract_chains,
     _min_fill_order,
     build_arithmetic,
     build_fibonacci,
@@ -21,9 +22,12 @@ from sailkit.graphs import (
     LabeledGraph,
     PLAIN,
     complete_graph,
+    components,
     cycle_graph,
     path_graph,
     path_star_graph,
+    subdivide,
+    walk,
 )
 from sailkit.words import InfiniteWordSpec
 
@@ -232,6 +236,64 @@ class TestMinFillReference:
         value, td = heuristic_treewidth_upper(g)
         assert validate_decomposition(g, td).ok
         assert value == max(len(b) for b in bags) - 1
+
+
+def contract_chains_reference(g, skeleton):
+    """`_contract_chains` as it was before `graphs.suppress`: one walk per
+    connector component, from its end next to the smallest skeleton vertex."""
+    other = [v for v in g.vertices() if v not in skeleton]
+    for v in other:
+        if g.degree(v) > 2:
+            raise ValueError(
+                f"vertex {v} is neither a star, a lettered path vertex, nor a"
+                " degree-<=2 connector; not a path-star graph for this builder")
+    chains, dangling, free = {}, [], []
+    other_set = set(other)
+    for comp in components(g.neighbors, other):
+        ends = sorted({w for v in comp for w in g.neighbors(v) if w in skeleton})
+        start = min(v for v in comp if ends[0] in g.neighbors(v)) if ends else comp[0]
+        interior = walk(g.neighbors, start, other_set)
+        if len(interior) > 2 and interior[0] in g.neighbors(interior[-1]):
+            raise ValueError("connector component is a cycle; not a path-star graph")
+        if len(ends) == 2:
+            chains[(ends[0], ends[1])] = interior
+        elif len(ends) == 1:
+            dangling.append((ends[0], interior))
+        else:
+            free.append(interior)
+    return chains, dangling, free
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestContractChainsReference:
+    def test_random_graphs(self):
+        rng = random.Random(71)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(1, 20), rng.choice([0.08, 0.12, 0.2, 0.3]))
+            g = subdivide(g, {e: rng.randint(0, 2) for e in g.edges() if rng.random() < 0.4})
+            skeleton = {v for v in g.vertices() if g.degree(v) >= 3 or rng.random() < 0.2}
+            if rng.random() < 0.2:  # connectors of degree 3 are rejected alike
+                skeleton = set(rng.sample(g.vertices(), rng.randint(0, g.n)))
+            assert outcome(_contract_chains, g, skeleton) == \
+                outcome(contract_chains_reference, g, skeleton)
+
+    @pytest.mark.parametrize("n", [50, 400, 2000])
+    def test_path_star_graphs(self, n):
+        rng = random.Random(n)
+        for stars in ([1, 2], [2, 3, 4], [1, 3, 5, 6]):
+            g = path_star_graph(NU, range(1, n + 1), stars)
+            for plan in ({}, {e: rng.randint(1, 3) for e in g.edges() if rng.random() < 0.3}):
+                h = subdivide(g, plan)
+                skeleton = {v for v in h.vertices() if h.tag(v).kind == "star"
+                            or (h.tag(v).kind == "path" and NU.letter_at(h.tag(v).pos) in stars)}
+                want = contract_chains_reference(h, skeleton)
+                assert want[0] and _contract_chains(h, skeleton) == want
 
 
 class TestBuildPower:

@@ -9,6 +9,8 @@ from sailkit.graphs import (
     LabeledGraph,
     PLAIN,
     SailWitness,
+    bfs,
+    blocks,
     canonical_sail,
     complete_bipartite,
     components,
@@ -404,6 +406,51 @@ class TestComponentsAndWalk:
         adj = {0: {1, 2, 3}, 1: {0}, 2: {0}, 3: {0}}
         with pytest.raises(ValueError):
             walk(adj.__getitem__, 0, adj)
+
+
+class TestBfsAndBlocks:
+    """`bfs` and `blocks` against networkx on seeded random graphs, with
+    and without a restricting vertex set."""
+
+    def test_bfs_matches_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(51)
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(1, 25), rng.choice([0.05, 0.1, 0.2, 0.4]))
+            within = set(g.vertices())
+            if rng.random() < 0.5:
+                within = set(rng.sample(g.vertices(), rng.randint(1, g.n)))
+            sub = nx.Graph(g.edges()).subgraph(within).copy()
+            sub.add_nodes_from(within)
+            source = rng.choice(sorted(within))
+            got = list(bfs(g.neighbors, [source], within))
+            assert dict(got) == nx.single_source_shortest_path_length(sub, source)
+            assert [d for _, d in got] == sorted(d for _, d in got)
+
+    def test_bfs_from_several_sources(self):
+        g = path_graph(7)
+        assert dict(bfs(g.neighbors, [0, 6])) == {0: 0, 6: 0, 1: 1, 5: 1, 2: 2, 4: 2, 3: 3}
+        assert dict(bfs(g.neighbors, [3], {1, 2, 3})) == {3: 0, 2: 1, 1: 2}
+
+    def test_blocks_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(52)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(0, 25), rng.choice([0.05, 0.1, 0.15, 0.25, 0.4]))
+            for vertices in (g.vertices(), rng.sample(g.vertices(), rng.randint(0, g.n))):
+                sub = nx.Graph(g.edges()).subgraph(vertices).copy()
+                sub.add_nodes_from(vertices)
+                found, cuts = blocks(g.neighbors, vertices)
+                assert found == sorted(sorted(b) for b in nx.biconnected_components(sub))
+                assert cuts == sorted(nx.articulation_points(sub))
+
+    def test_blocks_of_small_shapes(self):
+        assert blocks(cycle_graph(5).neighbors, range(5)) == ([[0, 1, 2, 3, 4]], [])
+        assert blocks(path_graph(3).neighbors, range(3)) == ([[0, 1], [1, 2]], [1])
+        bowtie = LabeledGraph({v: PLAIN for v in range(5)},
+                              [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
+        assert blocks(bowtie.neighbors, range(5)) == ([[0, 1, 2], [2, 3, 4]], [2])
+        assert blocks(bowtie.neighbors, [0, 3]) == ([], [])
 
 
 # ---------------------------------------------------------------------------
