@@ -515,7 +515,7 @@ def build_arithmetic(g: LabeledGraph, t: int) -> TreeDecomposition:
 
     # contracted path adjacency between skeleton path vertices
     cadj = {v: set() for v in vletter}
-    for u, v in chain(g.edges(), chains):
+    for u, v in chain(g.edges(), ((a, b) for a, b, _ in chains if a != b)):
         if u in vletter and v in vletter:
             cadj[u].add(v)
             cadj[v].add(u)
@@ -641,25 +641,26 @@ def build_arithmetic(g: LabeledGraph, t: int) -> TreeDecomposition:
 
 
 def _contract_chains(g, skeleton):
-    """Split non-skeleton vertices into chains between two skeleton vertices,
-    chains dangling off one, and free components touching none."""
+    """Split non-skeleton vertices into chains between two skeleton vertices
+    (sorted (a, b, interior) with a <= b; a == b for a loop), chains
+    dangling off one, and free components touching none."""
     other = [v for v in g.vertices() if v not in skeleton]
     for v in other:
         if g.degree(v) > 2:
             raise ValueError(
                 f"vertex {v} is neither a star, a lettered path vertex, nor a"
                 " degree-<=2 connector; not a path-star graph for this builder")
-    chains, dangling, free = {}, [], []
+    chains, dangling, free = [], [], []
     for a, run, b in suppress(g.neighbors, g.vertices(), skeleton):
         if len(run) > 2 and run[0] in g.neighbors(run[-1]):
             raise ValueError("connector component is a cycle; not a path-star graph")
-        if b is not None and a != b:
-            chains[(a, b)] = run
+        if b is not None:
+            chains.append((a, b, run))
         elif a is not None:
             dangling.append((a, run))
         else:
             free.append(run)
-    return chains, dangling, free
+    return sorted(chains), dangling, free
 
 
 def _ordered_path_components(g, cadj):
@@ -674,7 +675,7 @@ def _ordered_path_components(g, cadj):
 
 
 def _splice_chains(asm, g, chains, dangling, free, fallback_node):
-    for (u, w), interior in sorted(chains.items()):
+    for u, w, interior in chains:
         host = asm.first_containing({u, w})
         if host is None:
             raise ValueError(f"no bag contains both chain ends {u}, {w}")

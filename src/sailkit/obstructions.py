@@ -7,8 +7,13 @@
 2. a structured matcher that suppresses degree-2 vertices on both sides and
    matches the resulting core multigraphs with chain-capacity dominance --
    this finds embeddings quickly in subdivision-shaped hosts but cannot
-   certify absence.  Its restart rounds stop once a round ends with no
-   attempt cut by its tick limit (later rounds would repeat it), and its
+   certify absence.  A pattern chain is routed along host core paths of
+   1, 2, ... up to 4 hops (`_core_paths`): the partial paths from its
+   first end grow one hop layer per limit, and limit L costs one tick per
+   partial path of fewer than L hops, as a fresh depth-first search per
+   limit would pop; a limit that costs more than the ticks left cuts the
+   attempt.  The restart rounds stop once a round ends with no attempt
+   cut by its tick limit (later rounds would repeat it), and the stage's
    path and cycle searches for pendants and coreless pattern components
    spend one tick of `fast_budget` per path they look at;
 3. a full interleaved branch-vertex/path search, complete up to a node
@@ -183,15 +188,16 @@ def _structured_match(host, stripped, pattern, budget=12_000_000):
     if pc.loops and not hc.loops:
         return None
 
-    # host core multigraph: edge list of (u, w, capacity, oriented interior)
+    # host core multigraph: edge list of (u, w, oriented interior), and per
+    # core vertex its (edge id, other end, capacity) in edge order
     hedges = []
-    hadj = {u: [] for u in hc.core}
+    nbrs = {u: [] for u in hc.core}
     for (u, w), items in sorted(hc.chains.items()):
         for interior in items:
             idx = len(hedges)
-            hedges.append((u, w, len(interior), interior))
-            hadj[u].append(idx)
-            hadj[w].append(idx)
+            hedges.append((u, w, interior))
+            nbrs[u].append((idx, w, len(interior)))
+            nbrs[w].append((idx, u, len(interior)))
 
     # pattern core order: each vertex chain-adjacent to an earlier one
     padj = pc.chain_adjacency()
@@ -208,8 +214,11 @@ def _structured_match(host, stripped, pattern, budget=12_000_000):
     # spare host core, so images can exceed pattern distance only by the
     # number of spares still available
     core_adj = hc.chain_adjacency()
+    big = len(hc.core) + len(pc.core)
     hop_dist = {u: dict(bfs(core_adj.__getitem__, [u])) for u in hc.core}
     pdist = {u: dict(bfs(padj.__getitem__, [u])) for u in pc.core}
+    hdeg = {h: stripped.degree(h) for h in hc.core}
+    slack = len(hc.core) - len(pc.core)
 
     # Each depth-0 anchor gets its own escalating tick budget: wrong
     # anchors on rigid hosts waste enormous subtrees, so restarts dominate
@@ -223,39 +232,6 @@ def _structured_match(host, stripped, pattern, budget=12_000_000):
         routes = {}
         ticks = [round_budget]
         unplaced = [len(pc.core)]
-        slack = len(hc.core) - len(pc.core)
-        big = len(hc.core) + len(pc.core)
-
-        def spares():
-            return len(hc.core) - len(used_nodes) - unplaced[0]
-
-        def core_paths(src, dst, need):
-            # H*-paths src -> dst with interior capacity >= need, increasing
-            # hop count; every intermediate core burns one spare
-            max_hops = min(spares() + 1, 4)
-            for limit in range(1, max_hops + 1):
-                results = []
-                queue = [(src, (), 0)]
-                while queue:
-                    ticks[0] -= 1
-                    if ticks[0] < 0:
-                        return
-                    node, hops, cap = queue.pop()
-                    for ei in hadj[node]:
-                        if ei in used_edges or any(ei == h[0] for h in hops):
-                            continue
-                        u, w, c, _ = hedges[ei]
-                        other = w if node == u else u
-                        if other == dst:
-                            if len(hops) + 1 == limit and cap + c >= need:
-                                results.append(hops + ((ei, other),))
-                            continue
-                        if other in used_nodes or any(other == h[1] for h in hops):
-                            continue
-                        if len(hops) + 1 < limit:
-                            queue.append((other, hops + ((ei, other),), cap + c + 1))
-                results.sort()
-                yield from results
 
         def route(chain_ids, k):
             if ticks[0] < 0:
@@ -265,7 +241,10 @@ def _structured_match(host, stripped, pattern, budget=12_000_000):
             ci = chain_ids[k]
             a, b, interior = pchains[ci]
             tried = 0
-            for hops in core_paths(phi[a], phi[b], len(interior)):
+            # every intermediate core burns one spare host core
+            spares = len(hc.core) - len(used_nodes) - unplaced[0]
+            for hops in _core_paths(nbrs, phi[a], phi[b], len(interior),
+                                    min(spares + 1, 4), used_nodes, used_edges, ticks):
                 if tried >= MAX_ALTERNATIVES:
                     break
                 tried += 1
@@ -293,20 +272,22 @@ def _structured_match(host, stripped, pattern, budget=12_000_000):
             if i == 0:
                 cands = [anchor]
             else:
+                # h qualifies when its hop distance to each placed image is
+                # within the pattern distance plus slack
+                bounds = [(hop_dist[hu], pdist[v].get(u, big) + slack)
+                          for u, hu in phi.items()]
+                min_degree = pattern.degree(v)
                 scored = []
                 for h in hc.core:
-                    if h in used_nodes or stripped.degree(h) < pattern.degree(v):
+                    if h in used_nodes or hdeg[h] < min_degree:
                         continue
                     score = 0
-                    ok = True
-                    for u, hu in phi.items():
-                        du = pdist[v].get(u, big)
-                        dh = hop_dist[hu].get(h, big)
-                        if dh > du + slack:
-                            ok = False
+                    for dists, bound in bounds:
+                        dh = dists.get(h, big)
+                        if dh > bound:
                             break
                         score += dh
-                    if ok:
+                    else:
                         scored.append((score, h))
                 cands = [h for _, h in sorted(scored)]
             for h in cands:
@@ -325,7 +306,7 @@ def _structured_match(host, stripped, pattern, budget=12_000_000):
         return None, None, round_budget - ticks[0]
 
     anchors = [h for h in hc.core
-               if stripped.degree(h) >= pattern.degree(order[0])] if order else []
+               if hdeg[h] >= pattern.degree(order[0])] if order else []
     phi = routes = None
     remaining_budget = budget
     if not order:
@@ -385,7 +366,7 @@ def _structured_match(host, stripped, pattern, budget=12_000_000):
         node = phi[a]
         hpath = [node]
         for ei, nxt in routes[ci]:
-            u, w, _, chain_interior = hedges[ei]
+            u, w, chain_interior = hedges[ei]
             hpath.extend(chain_interior if node == u else tuple(reversed(chain_interior)))
             hpath.append(nxt)
             node = nxt
@@ -438,6 +419,47 @@ def _structured_match(host, stripped, pattern, budget=12_000_000):
 
     emb = SubdivisionEmbedding(branch_map, paths)
     return emb if validate_embedding(host, pattern, emb) else None
+
+
+def _core_paths(nbrs, src, dst, need, max_hops, used_nodes, used_edges, ticks):
+    """Paths src -> dst of at most `max_hops` hops in the core multigraph
+    `nbrs` (vertex -> [(edge id, other end, capacity), ...]) whose interior
+    capacity, each intermediate core counting one, is at least `need`.
+
+    Each path is a tuple of (edge id, node reached) hops; its edges avoid
+    `used_edges` and repeat none, its intermediate nodes avoid `used_nodes`,
+    `dst` and each other.  Paths come by hop count, sorted within one count.
+    The partial paths from src are grown one hop layer per limit L, and L
+    costs one of ``ticks[0]`` per partial path of fewer than L hops, as a
+    depth-first search per limit would pop.  A limit that costs more than
+    the ticks left sets ``ticks[0]`` below zero and ends the paths.
+    """
+    # partial paths of limit - 1 hops: (end, edge ids, nodes, capacity)
+    layer = [(src, (), (), 0)]
+    cost = 0  # partial paths of fewer than limit hops
+    for limit in range(1, max_hops + 1):
+        cost += len(layer)
+        # with no partial path left, every limit from here pops the same ones
+        charge = cost if layer else cost * (max_hops - limit + 1)
+        if charge > ticks[0]:
+            ticks[0] = min(ticks[0], 0) - 1
+            return
+        ticks[0] -= charge
+        if not layer:
+            return
+        found, grown = [], []
+        for node, edges, nodes, cap in layer:
+            for ei, other, c in nbrs[node]:
+                if ei in used_edges or ei in edges:
+                    continue
+                if other == dst:
+                    if cap + c >= need:
+                        found.append(tuple(zip(edges + (ei,), nodes + (dst,))))
+                elif limit < max_hops and other not in used_nodes and other not in nodes:
+                    grown.append((other, edges + (ei,), nodes + (other,), cap + c + 1))
+        found.sort()
+        yield from found
+        layer = grown
 
 
 def _find_path(host, starts, allowed, k, ticks):
@@ -568,6 +590,13 @@ def _simple_paths(host, a, b, blocked, tick):
             return
 
 
+@lru_cache(maxsize=16)
+def _two_connected(pattern):
+    """Is `pattern` one block?  Kept per graph object: the KKW patterns are
+    the same objects on every scan."""
+    return len(blocks(pattern.neighbors, pattern.vertices())[0]) == 1
+
+
 def contains_subdivision(host: LabeledGraph, pattern: LabeledGraph, *,
                          host_cap: int = HOST_CAP, pattern_cap: int = PATTERN_CAP,
                          budget: int = SEARCH_BUDGET, fast_budget: int = 12_000_000):
@@ -599,7 +628,7 @@ def contains_subdivision(host: LabeledGraph, pattern: LabeledGraph, *,
     if min(pattern.degree(v) for v in pattern.vertices()) < 2:
         return (_structured_match(host, stripped, pattern, fast_budget)
                 or _full_search(host, pattern, budget))
-    if len(blocks(pattern.neighbors, pattern.vertices())[0]) == 1:
+    if _two_connected(pattern):
         parts = blocks(stripped.neighbors, stripped.vertices())[0]
     else:
         parts = [stripped.vertices()]

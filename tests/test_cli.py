@@ -211,6 +211,24 @@ def test_unknown_flag_exits_two(capsys):
     assert run(["word", "--no-such-flag"]) == 2
 
 
+@pytest.mark.parametrize("bad", [
+    [], ["word", "--no-such-flag"], ["graph", "no-such-kind"],
+    ["word", "--family", "nu", "--at", "x"], ["obstruct", "kkw", "--graph"],
+])
+def test_parser_is_reused_after_a_bad_argv(tmp_path, capsys, bad):
+    path = tmp_path / "wall.json"
+    path.write_text(wall(3, 3).to_json())
+    for valid in (["obstruct", "kkw", "--graph", str(path)],
+                  ["word", "--family", "kappa:3", "--prefix", "12"]):
+        cli._parser.cache_clear()
+        alone = invoke(capsys, *valid)
+        cli._parser.cache_clear()
+        assert run(bad) == 2
+        capsys.readouterr()
+        assert invoke(capsys, *valid) == alone
+        assert cli._parser.cache_info().misses == 1
+
+
 def test_bad_input_exits_two(capsys):
     assert run(["word", "--family", "nu"]) == 2
     assert run(["word", "--family", "kappa", "--at", "5"]) == 2

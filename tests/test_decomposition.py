@@ -239,29 +239,32 @@ class TestMinFillReference:
 
 
 def contract_chains_reference(g, skeleton):
-    """`_contract_chains` as it was before `graphs.suppress`: one walk per
-    connector component, from its end next to the smallest skeleton vertex."""
+    """`_contract_chains` by the walk it used before `graphs.suppress`: one
+    walk per connector component, from its end next to the smallest skeleton
+    vertex.  The skeleton neighbours of a component count with multiplicity,
+    so a run from a skeleton vertex back to itself is a chain (a loop), and
+    every run between the same two skeleton vertices is kept."""
     other = [v for v in g.vertices() if v not in skeleton]
     for v in other:
         if g.degree(v) > 2:
             raise ValueError(
                 f"vertex {v} is neither a star, a lettered path vertex, nor a"
                 " degree-<=2 connector; not a path-star graph for this builder")
-    chains, dangling, free = {}, [], []
+    chains, dangling, free = [], [], []
     other_set = set(other)
     for comp in components(g.neighbors, other):
-        ends = sorted({w for v in comp for w in g.neighbors(v) if w in skeleton})
+        ends = sorted(w for v in comp for w in g.neighbors(v) if w in skeleton)
         start = min(v for v in comp if ends[0] in g.neighbors(v)) if ends else comp[0]
         interior = walk(g.neighbors, start, other_set)
         if len(interior) > 2 and interior[0] in g.neighbors(interior[-1]):
             raise ValueError("connector component is a cycle; not a path-star graph")
         if len(ends) == 2:
-            chains[(ends[0], ends[1])] = interior
+            chains.append((ends[0], ends[1], interior))
         elif len(ends) == 1:
             dangling.append((ends[0], interior))
         else:
             free.append(interior)
-    return chains, dangling, free
+    return sorted(chains), dangling, free
 
 
 def outcome(fn, *args):
@@ -364,6 +367,18 @@ class TestBuildArithmetic:
         g = LabeledGraph({v: g.tag(v) for v in g.vertices()}, g.edges() + [(1, 4)], origin=NU)
         with pytest.raises(ValueError, match="not a path"):
             build_arithmetic(g, 2)
+
+    @pytest.mark.parametrize("extra", [
+        [(1, 10), (10, 11), (11, 1)],           # a connector loop at path vertex 1
+        [(1, 10), (10, 2), (1, 11), (11, 2)],   # two connectors between 1 and 2
+    ])
+    def test_every_connector_run_is_spliced(self, extra):
+        base = path_star_graph(NU, [1, 2], [1, 2])
+        tags = {v: base.tag(v) for v in base.vertices()}
+        tags.update({10: PLAIN, 11: PLAIN})
+        g = LabeledGraph(tags, base.edges() + extra, origin=NU)
+        td = build_arithmetic(g, 2)
+        assert validate_decomposition(g, td).ok
 
     def test_trunk_with_branches(self):
         # positions cut mid-block so components carry uncovered ends

@@ -1,6 +1,8 @@
 """Subdivision detection, KKW scan, wall surgery, and separator tests."""
 
 import itertools
+import json
+import pathlib
 import random
 import time
 
@@ -27,6 +29,7 @@ from sailkit.graphs import (
 )
 from sailkit.obstructions import (
     _Core,
+    _core_paths,
     _find_cycle,
     contains_subdivision,
     kkw_scan,
@@ -418,3 +421,125 @@ class TestCoreSuppression:
             assert_core_matches_reference(g)
         assert len(_Core(bouquet(3, 2)).loops[0]) == 3
 
+
+
+# ---------------------------------------------------------------------------
+# stage 2's core routing: the per-limit depth-first search that the layered
+# `_core_paths` replaced, kept as the reference
+# ---------------------------------------------------------------------------
+
+def core_paths_reference(hadj, hedges, src, dst, need, max_hops, used_nodes, used_edges,
+                         ticks):
+    """One depth-first search from scratch per hop limit, one tick per pop."""
+    for limit in range(1, max_hops + 1):
+        results = []
+        queue = [(src, (), 0)]
+        while queue:
+            ticks[0] -= 1
+            if ticks[0] < 0:
+                return
+            node, hops, cap = queue.pop()
+            for ei in hadj[node]:
+                if ei in used_edges or any(ei == h[0] for h in hops):
+                    continue
+                u, w, c, _ = hedges[ei]
+                other = w if node == u else u
+                if other == dst:
+                    if len(hops) + 1 == limit and cap + c >= need:
+                        results.append(hops + ((ei, other),))
+                    continue
+                if other in used_nodes or any(other == h[1] for h in hops):
+                    continue
+                if len(hops) + 1 < limit:
+                    queue.append((other, hops + ((ei, other),), cap + c + 1))
+        results.sort()
+        yield from results
+
+
+def random_core_multigraph(rng):
+    """`hadj`/`hedges` as the reference reads them and `nbrs` as
+    `_core_paths` does, for a random multigraph with parallel edges."""
+    n = rng.randint(2, 7)
+    pairs = [tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randint(1, 3 * n))]
+    hedges, hadj, nbrs = [], {u: [] for u in range(n)}, {u: [] for u in range(n)}
+    for u, w in sorted(pairs):
+        c = rng.randint(0, 3)
+        idx = len(hedges)
+        hedges.append((u, w, c, tuple(range(c))))
+        for a, b in ((u, w), (w, u)):
+            hadj[a].append(idx)
+            nbrs[a].append((idx, b, c))
+    return n, hedges, hadj, nbrs
+
+
+def run_lockstep(rng, hedges, hadj, nbrs, args, budget, spend):
+    """Pull both generators item by item, spending the same random ticks
+    between items as a caller's deeper search would; after every item and
+    at the end the items and ``ticks[0]`` agree.  Returns the items."""
+    got_ticks, want_ticks = [budget], [budget]
+    got = _core_paths(nbrs, *args, got_ticks)
+    want = core_paths_reference(hadj, hedges, *args, want_ticks)
+    items = []
+    while True:
+        a, b = next(got, None), next(want, None)
+        assert a == b and got_ticks == want_ticks, (args, budget, items)
+        if a is None:
+            return items
+        items.append(a)
+        if spend:
+            cost = rng.randint(0, 4)
+            got_ticks[0] -= cost
+            want_ticks[0] -= cost
+
+
+class TestCorePathsReference:
+    def test_random_multigraphs(self):
+        rng = random.Random(83)
+        for _ in range(300):
+            n, hedges, hadj, nbrs = random_core_multigraph(rng)
+            src, dst = rng.sample(range(n), 2)
+            used_nodes = {v for v in range(n) if rng.random() < 0.1}
+            if rng.random() < 0.8:  # the caller's placed images are used
+                used_nodes |= {src, dst}
+            used_edges = {ei for ei in range(len(hedges)) if rng.random() < 0.1}
+            max_hops = rng.choice([0, 1, 2, 3, 4, 4, 4])
+            args = (src, dst, rng.randint(0, 4), max_hops, used_nodes, used_edges)
+            ticks = [10 ** 6]
+            full = list(core_paths_reference(hadj, hedges, *args, ticks))
+            cost = 10 ** 6 - ticks[0]
+            for budget in range(cost + 2):
+                items = run_lockstep(rng, hedges, hadj, nbrs, args, budget, spend=False)
+                assert budget < cost or items == full
+                run_lockstep(rng, hedges, hadj, nbrs, args, budget, spend=True)
+
+    def test_parallel_edges_and_capacity(self):
+        # two parallel 0-1 chains of capacity 0 and 2, and 0-2-1 through a
+        # spare core: each limit charges the partial paths it would pop
+        hedges = [(0, 1, 0, ()), (0, 1, 2, (7, 8)), (0, 2, 0, ()), (1, 2, 1, (9,))]
+        nbrs = {0: [(0, 1, 0), (1, 1, 2), (2, 2, 0)],
+                1: [(0, 0, 0), (1, 0, 2), (3, 2, 1)],
+                2: [(2, 0, 0), (3, 1, 1)]}
+        ticks = [10]
+        paths = list(_core_paths(nbrs, 0, 1, 2, 2, {0, 1}, set(), ticks))
+        assert paths == [((1, 1),), ((2, 2), (3, 1))]
+        assert ticks == [10 - 1 - 2]
+        ticks = [2]
+        assert list(_core_paths(nbrs, 0, 1, 2, 2, {0, 1}, set(), ticks)) == [((1, 1),)]
+        assert ticks == [-1]
+
+
+W4X4_EMBEDDINGS = json.loads(
+    (pathlib.Path(__file__).parent / "data" / "w4x4_embeddings.json").read_text())
+
+
+W4X4_HOSTS = {"wall(7, 7)": lambda: wall(7, 7),
+              "wall_surgery(1, 6)": lambda: wall_surgery(1, 6),
+              "wall_surgery(2, 4)": lambda: wall_surgery(2, 4)}
+
+
+@pytest.mark.parametrize("name", sorted(W4X4_HOSTS))
+def test_w4x4_embeddings_are_pinned(name):
+    # stage 2's embeddings as the per-limit depth-first search found them
+    host, pattern = W4X4_HOSTS[name](), wall(4, 4)
+    emb = contains_subdivision(host, pattern, host_cap=host.n, pattern_cap=pattern.n)
+    assert emb.to_obj() == W4X4_EMBEDDINGS[name]
